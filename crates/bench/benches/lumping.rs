@@ -2,9 +2,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use multival::imc::compositional::{compose_minimize, Component, PipelineOptions};
-use multival::imc::{lump, lump_with, Imc, ImcBuilder, LumpOptions};
-use multival::lts::minimize::{minimize, minimize_with, Equivalence};
-use multival::lts::Workers;
+use multival::imc::{lump, Imc, ImcBuilder, LumpOptions};
+use multival::lts::minimize::{minimize, Equivalence};
 use multival::models::xstream::pipeline::{build_monolithic, PipelineConfig};
 
 fn symmetric_farm(n: usize) -> Vec<Component> {
@@ -57,14 +56,6 @@ fn bench_single_lump(c: &mut Criterion) {
     c.bench_function("lump_farm8", |b| {
         b.iter(|| lump(&product, &LumpOptions::default()).0.num_states())
     });
-    // Thread scaling of the rate-signature loop on the same product.
-    let mut group = c.benchmark_group("lump_farm8_threads");
-    for threads in [2usize, 4] {
-        group.bench_with_input(BenchmarkId::new("lump", threads), &threads, |b, &t| {
-            b.iter(|| lump_with(&product, &LumpOptions::default(), Workers::new(t)).0.num_states())
-        });
-    }
-    group.finish();
 }
 
 fn bench_lts_minimization(c: &mut Criterion) {
@@ -77,19 +68,6 @@ fn bench_lts_minimization(c: &mut Criterion) {
     group.bench_function("branching", |b| {
         b.iter(|| minimize(&lts, Equivalence::Branching).0.num_states())
     });
-    // Parallel signature computation (same partitions, bit for bit).
-    for threads in [2usize, 4] {
-        group.bench_function(format!("strong_t{threads}"), |b| {
-            b.iter(|| {
-                minimize_with(&lts, Equivalence::Strong, Workers::new(threads)).0.num_states()
-            })
-        });
-        group.bench_function(format!("branching_t{threads}"), |b| {
-            b.iter(|| {
-                minimize_with(&lts, Equivalence::Branching, Workers::new(threads)).0.num_states()
-            })
-        });
-    }
     group.finish();
 }
 

@@ -5,7 +5,7 @@ use multival::models::xstream::pipeline::{
     build_buffer_chain, build_compositional, build_monolithic, PipelineConfig,
 };
 use multival::pa::{explore, parse_spec, ExploreOptions};
-use multival_bench::baseline::{five_queues_src, three_queues_src};
+use multival_bench::baseline::three_queues_src;
 
 fn bench_exploration(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore");
@@ -14,23 +14,6 @@ fn bench_exploration(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("three_queues", cap), &spec, |b, spec| {
             b.iter(|| explore(spec, &ExploreOptions::default()).expect("explores").lts.num_states())
         });
-    }
-    group.finish();
-}
-
-fn bench_exploration_threads(c: &mut Criterion) {
-    // Thread scaling on the largest E1 instance (five queues, cap 8; 59049
-    // states). threads=1 takes the dedicated sequential path, so it doubles
-    // as the speedup baseline.
-    let spec = parse_spec(&five_queues_src(8)).expect("parses");
-    let mut group = c.benchmark_group("explore_threads");
-    for threads in [1usize, 2, 4] {
-        let options = ExploreOptions::default().with_threads(threads);
-        group.bench_with_input(
-            BenchmarkId::new("five_queues_cap8", threads),
-            &options,
-            |b, options| b.iter(|| explore(&spec, options).expect("explores").lts.num_states()),
-        );
     }
     group.finish();
 }
@@ -55,7 +38,6 @@ fn bench_buffer_chain(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_exploration, bench_exploration_threads, bench_pipeline_builds,
-              bench_buffer_chain
+    targets = bench_exploration, bench_pipeline_builds, bench_buffer_chain
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! The `BENCH_baseline.json` emitter (`experiments --bench-json`):
 //! machine-readable state counts and wall-clock times for the E1 and E9
-//! workloads, plus the 1-vs-4-thread exploration speedup on the largest
-//! E1 instance — the acceptance gate for the parallel engine.
+//! workloads, plus the 1-vs-4-thread Monte-Carlo speedup, the one
+//! state-space-adjacent path that runs in parallel.
 //!
 //! The JSON is handwritten (no serde in the dependency closure); every
 //! number is either an integer or a `{:.3}`-formatted millisecond float,
@@ -48,20 +48,6 @@ pub fn three_queues_src(cap: i64) -> String {
           [] [n > 0] -> deq; Queue[enq, deq](n - 1, c)
          endproc
          behaviour Queue[a, b](0, {cap}) ||| Queue[c, d](0, {cap}) ||| Queue[e, f](0, {cap})"
-    )
-}
-
-/// The largest E1 instance: five interleaved queues (9^5 = 59049 states at
-/// cap 8) — big enough for the level-synchronous engine to show thread
-/// scaling, and the workload behind the `speedup_t4` acceptance number.
-pub fn five_queues_src(cap: i64) -> String {
-    format!(
-        "process Queue[enq, deq](n: int 0..8, c: int 1..8) :=
-             [n < c] -> enq; Queue[enq, deq](n + 1, c)
-          [] [n > 0] -> deq; Queue[enq, deq](n - 1, c)
-         endproc
-         behaviour Queue[a, b](0, {cap}) ||| Queue[c, d](0, {cap}) ||| Queue[e, f](0, {cap})
-               ||| Queue[g, h](0, {cap}) ||| Queue[i, j](0, {cap})"
     )
 }
 
@@ -145,27 +131,6 @@ pub fn bench_baseline() -> Result<String, Box<dyn Error>> {
     }
     out.push_str("  ],\n");
 
-    // Thread scaling on the largest E1 instance (five queues, cap 8).
-    let largest = *caps.last().expect("non-empty");
-    let spec = parse_spec(&five_queues_src(largest))?;
-    let (_, wall_t1) =
-        timed(|| explore(&spec, &ExploreOptions::default().with_threads(1)).expect("explores"));
-    let (explored, wall_t4) =
-        timed(|| explore(&spec, &ExploreOptions::default().with_threads(4)).expect("explores"));
-    // `hardware_threads` qualifies the speedup: on a single-core host the
-    // physical ceiling is 1.0x regardless of the worker count.
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let _ = writeln!(
-        out,
-        "  \"e1_largest_threads\": {{\"model\": \"five_queues\", \"cap\": {largest}, \
-         \"states\": {}, \"hardware_threads\": {hw}, \
-         \"wall_ms_t1\": {}, \"wall_ms_t4\": {}, \"speedup_t4\": {:.2}}},",
-        explored.lts.num_states(),
-        ms(wall_t1),
-        ms(wall_t4),
-        wall_t1.as_secs_f64() / wall_t4.as_secs_f64().max(1e-9)
-    );
-
     // E1 on-the-fly: deadlock search over the lazy counter-ring product
     // visits a fraction of what eager composition materializes.
     out.push_str("  \"e1_on_the_fly\": [\n");
@@ -215,6 +180,9 @@ pub fn bench_baseline() -> Result<String, Box<dyn Error>> {
     // stopping rule disabled, so both runs sample the full trajectory
     // budget and the walls are comparable. The estimates must come out
     // bit-identical — that equality is the determinism acceptance gate.
+    // `hardware_threads` qualifies the speedup: on a single-core host the
+    // physical ceiling is 1.0x regardless of the worker count.
+    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
     let sim = McSim::new(&birth_death(64));
     let sim_opts = |threads: usize| McOptions {
         seed: 7,
@@ -746,7 +714,6 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count(), "{json}");
         for key in [
             "e1_three_queues",
-            "e1_largest_threads",
             "speedup_t4",
             "e1_on_the_fly",
             "kernels_transient",
@@ -778,10 +745,8 @@ mod tests {
         // below solver tolerance, and the threaded simulation must be
         // bit-deterministic.
         assert!(json.contains("\"estimates_equal\": true"), "{json}");
-        // Three queues of capacity 8 interleaved: 9^3 = 729 states; the
-        // five-queue thread-scaling instance has 9^5 = 59049.
+        // Three queues of capacity 8 interleaved: 9^3 = 729 states.
         assert!(json.contains("\"cap\": 8, \"states\": 729"), "{json}");
-        assert!(json.contains("\"states\": 59049"), "{json}");
         // Three rings of 8: the eager product is 8^3 + 1 = 513 states; the
         // on-the-fly search must get away with strictly fewer.
         assert!(json.contains("\"materialized_states\": 513"), "{json}");

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `--bench-json` writes `BENCH_baseline.json` (E1/E9 state counts,
-//! wall-clock times, and the 1-vs-4-thread exploration speedup) instead of
+//! wall-clock times, and the 1-vs-4-thread Monte-Carlo speedup) instead of
 //! running the experiment tables.
 
 use multival_bench::{bench_baseline, run, EXPERIMENTS};

@@ -8,6 +8,8 @@
 //! user-facing bundle that turns `--timeout-secs`/`--max-states` flags (or
 //! JSON job fields) into those knobs at the moment the work starts.
 
+use multival_lts::io::{read_aut, read_aut_header};
+use multival_lts::Lts;
 use std::time::{Duration, Instant};
 
 /// A resource budget for one evaluation: optional wall-clock limit and
@@ -66,9 +68,38 @@ impl Budget {
     }
 }
 
+/// Parses Aldebaran text whose header declares at most `max_states`
+/// states. The header is checked before anything is allocated for it, so
+/// `des (0, 1, 2000000000)` is a `Budget exceeded` error rather than an
+/// 8 GB allocation.
+///
+/// # Errors
+///
+/// Returns the parse error, or `Budget exceeded: …` when the declared
+/// state count is over `max_states`.
+pub fn read_aut_capped(text: &str, max_states: usize) -> Result<Lts, String> {
+    let declared = read_aut_header(text).map_err(|e| e.to_string())?.states;
+    if declared as usize > max_states {
+        return Err(format!(
+            "Budget exceeded: the .aut header declares {declared} states, \
+             over the cap of {max_states}"
+        ));
+    }
+    read_aut(text).map_err(|e| e.to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn aut_header_over_the_cap_is_refused_before_allocating() {
+        let hostile = "des (0, 1, 2000000000)\n(0, \"a\", 0)\n";
+        let err = read_aut_capped(hostile, 1_000_000).expect_err("over the cap");
+        assert!(err.starts_with("Budget exceeded"), "{err}");
+        let lts = read_aut_capped("des (0, 1, 2)\n(0, \"a\", 1)\n", 2).expect("at the cap");
+        assert_eq!(lts.num_states(), 2);
+    }
 
     #[test]
     fn default_is_unlimited() {

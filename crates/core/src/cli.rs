@@ -3,18 +3,18 @@
 //!
 //! The logic lives here (testable); `src/bin/multival.rs` is a thin wrapper.
 
-use crate::budget::Budget;
+use crate::budget::{read_aut_capped, Budget};
 use crate::flow::{BoundsSolved, Flow, Interval, Solved};
 use crate::report::{
-    fmt_f, BoundsReport, BoundsRow, BoundsVerdict, FlyStats, ParStats, ReduceStageRow, ReduceStats,
-    SimStats, StoreReport, Table,
+    fmt_f, BoundsReport, BoundsRow, BoundsVerdict, FlyStats, ReduceStageRow, ReduceStats, SimStats,
+    StoreReport, Table,
 };
 use multival_ctmc::McOptions;
 use multival_imc::to_ctmc::NondetPolicy;
 use multival_lts::equiv::{
     compare_determinized, determinize_ts, equivalent, weak_trace_equivalent, Determinized, Verdict,
 };
-use multival_lts::io::{read_aut, read_blts, write_aut, write_blts, write_dot};
+use multival_lts::io::{read_blts, write_aut, write_blts, write_dot};
 use multival_lts::minimize::{minimize, Equivalence};
 use multival_lts::reach::ReachOptions;
 use multival_lts::Lts;
@@ -103,7 +103,7 @@ impl fmt::Display for CmdOut {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// `explore <model.lot> [--aut out.aut] [--blts out.blts] [--dot out.dot]
-    /// [--max-states N] [--timeout-secs T] [--threads N] [--on-the-fly]
+    /// [--max-states N] [--timeout-secs T] [--on-the-fly]
     /// [--store hash|arena|spill] [--mem-budget BYTES]`
     Explore {
         /// Input model path.
@@ -116,8 +116,6 @@ pub enum Command {
         dot: Option<String>,
         /// State-count / wall-clock budget.
         budget: Budget,
-        /// Worker threads (1 = sequential, 0 = one per hardware thread).
-        threads: usize,
         /// Scan the state space on the fly instead of materializing it.
         on_the_fly: bool,
         /// Dedup states through this store backend instead of the
@@ -158,7 +156,7 @@ pub enum Command {
         aut: Option<String>,
     },
     /// `reduce <model.lot> [--eq strong|branching] [--order smart|given|seed:N]
-    /// [--aut out.aut] [--checkpoint DIR] [--threads N] [--max-states N]
+    /// [--aut out.aut] [--checkpoint DIR] [--max-states N]
     /// [--timeout-secs T]` — compositional reduction over the model's
     /// component network.
     Reduce {
@@ -174,8 +172,6 @@ pub enum Command {
         blts: Option<String>,
         /// Per-stage checkpoint directory (resumes when it matches).
         checkpoint: Option<String>,
-        /// Worker threads (1 = sequential, 0 = one per hardware thread).
-        threads: usize,
         /// Cap on intermediate products / wall-clock deadline.
         budget: Budget,
         /// Stage products dedup through this store backend.
@@ -295,7 +291,7 @@ pub enum Command {
         /// Input model path.
         input: String,
     },
-    /// `fuzz [--seeds A..B] [--corpus DIR] [--threads N] [--max-states N]
+    /// `fuzz [--seeds A..B] [--corpus DIR] [--max-states N]
     /// [--timeout-secs T] [--max-steps N] [--max-colors N] [--max-cap N]
     /// [--inject-flip] [--store hash|arena|spill] [--mem-budget BYTES]` —
     /// differential fuzzing over generated xMAS fabrics.
@@ -304,8 +300,6 @@ pub enum Command {
         seeds: (u64, u64),
         /// Directory for minimized reproducers (skipped on budget trips).
         corpus: Option<String>,
-        /// Worker threads (1 = sequential, 0 = one per hardware thread).
-        threads: usize,
         /// State-count / wall-clock budget for the whole sweep.
         budget: Budget,
         /// Generator growth steps per fabric.
@@ -360,7 +354,6 @@ multival — functional verification + performance evaluation (DATE'08 flow)
 USAGE:
   multival explore  <model.lot> [--aut OUT] [--blts OUT] [--dot OUT]
                     [--max-states N] [--timeout-secs T]
-                    [--threads N]   (1 = sequential, 0 = all hardware threads)
                     [--on-the-fly]  (scan without materializing the LTS)
                     [--store hash|arena|spill] [--mem-budget BYTES]
   multival check    <model.lot|lts.aut> <FORMULA> [--max-states N]
@@ -369,7 +362,7 @@ USAGE:
                     [--scheduler min|max|bounds|uniform]
   multival minimize <model.lot|lts.aut> [--eq strong|branching] [--aut OUT]
   multival reduce   <model.lot> [--eq strong|branching] [--order smart|given|seed:N]
-                    [--aut OUT] [--blts OUT] [--checkpoint DIR] [--threads N]
+                    [--aut OUT] [--blts OUT] [--checkpoint DIR]
                     [--max-states N] [--timeout-secs T]
                     [--store hash|arena|spill] [--mem-budget BYTES]
   multival compare  <A> <B> [--eq strong|branching|traces] [--on-the-fly]
@@ -382,7 +375,7 @@ USAGE:
   multival walk     <model.lot> [--steps N] [--seed S]
   multival refines  <IMP> <SPEC> [--weak]
   multival lint     <model.lot>
-  multival fuzz     [--seeds A..B] [--corpus DIR] [--threads N]
+  multival fuzz     [--seeds A..B] [--corpus DIR]
                     [--max-states N] [--timeout-secs T]
                     [--max-steps N] [--max-colors N] [--max-cap N]
                     [--inject-flip] [--store hash|arena|spill] [--mem-budget BYTES]
@@ -424,7 +417,7 @@ determinizes straight from the term graphs.
 reduce folds the model's parallel components into the product one at a time,
 hiding each gate as soon as all of its owners are folded and minimizing after
 every stage (compositional smart reduction). The result is canonical: every
---order policy and --threads count produces byte-identical output. With
+--order policy produces byte-identical output. With
 --checkpoint DIR, per-stage .aut files let an interrupted run resume.
 
 simulate runs the statistical engine: batched Monte-Carlo trajectories with
@@ -480,7 +473,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut blts = None;
             let mut dot = None;
             let mut budget = Budget::default();
-            let mut threads = 1usize;
             let mut on_the_fly = false;
             let mut store = None;
             let mut mem_budget = None;
@@ -491,7 +483,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--dot" => dot = Some(next_value(&mut it, "--dot")?),
                     "--max-states" => budget.max_states = Some(parse_flag(&mut it, a)?),
                     "--timeout-secs" => budget = budget.with_timeout_secs(parse_flag(&mut it, a)?),
-                    "--threads" => threads = parse_flag(&mut it, a)?,
                     "--on-the-fly" => on_the_fly = true,
                     "--store" => store = Some(parse_store(&next_value(&mut it, "--store")?)?),
                     "--mem-budget" => {
@@ -522,7 +513,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 blts,
                 dot,
                 budget,
-                threads,
                 on_the_fly,
                 store,
                 mem_budget,
@@ -600,7 +590,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut aut = None;
             let mut blts = None;
             let mut checkpoint = None;
-            let mut threads = 1usize;
             let mut budget = Budget::default();
             let mut store = None;
             let mut mem_budget = None;
@@ -617,7 +606,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--aut" => aut = Some(next_value(&mut it, "--aut")?),
                     "--blts" => blts = Some(next_value(&mut it, "--blts")?),
                     "--checkpoint" => checkpoint = Some(next_value(&mut it, "--checkpoint")?),
-                    "--threads" => threads = parse_flag(&mut it, a)?,
                     "--max-states" => budget.max_states = Some(parse_flag(&mut it, a)?),
                     "--timeout-secs" => budget = budget.with_timeout_secs(parse_flag(&mut it, a)?),
                     "--store" => store = Some(parse_store(&next_value(&mut it, "--store")?)?),
@@ -635,7 +623,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 aut,
                 blts,
                 checkpoint,
-                threads,
                 budget,
                 store,
                 mem_budget,
@@ -681,7 +668,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         Some("fuzz") => {
             let mut seeds = (0u64, 16u64);
             let mut corpus = None;
-            let mut threads = 1usize;
             let mut budget = Budget::default();
             let mut max_steps = 7usize;
             let mut max_colors = 2usize;
@@ -693,7 +679,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 match a {
                     "--seeds" => seeds = parse_seed_range(&next_value(&mut it, "--seeds")?)?,
                     "--corpus" => corpus = Some(next_value(&mut it, "--corpus")?),
-                    "--threads" => threads = parse_flag(&mut it, a)?,
                     "--max-states" => budget.max_states = Some(parse_flag(&mut it, a)?),
                     "--timeout-secs" => budget = budget.with_timeout_secs(parse_flag(&mut it, a)?),
                     "--max-steps" => max_steps = parse_flag(&mut it, a)?,
@@ -710,7 +695,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             Ok(Command::Fuzz {
                 seeds,
                 corpus,
-                threads,
                 budget,
                 max_steps,
                 max_colors,
@@ -1021,7 +1005,7 @@ fn parse_flag<'a, T: std::str::FromStr>(
 fn check_on_the_fly(input: &str, formula: &str) -> Result<Option<String>, Box<dyn Error>> {
     let options = ReachOptions::default();
     let (report, materialized) = if is_lts_file(input) {
-        let lts = load(input, 0)?;
+        let lts = load(input, options.max_states)?;
         let f = multival_mcl::parse_formula(formula)?;
         match multival_mcl::check_on_the_fly(&lts, &f, &options) {
             None => return Ok(None),
@@ -1363,15 +1347,16 @@ fn load_blts(path: &str) -> Result<Lts, Box<dyn Error>> {
     Ok(read_blts(&bytes)?)
 }
 
-/// Loads an input: `.aut`/`.blts` files are parsed as LTSs, everything
-/// else as mini-LOTOS (explored with the given cap).
+/// Loads an input: `.aut`/`.blts` files are parsed as LTSs (a `.aut`
+/// header declaring more states than the cap is refused), everything else
+/// as mini-LOTOS (explored with the given cap).
 fn load(path: &str, max_states: usize) -> Result<Lts, Box<dyn Error>> {
     if path.ends_with(".blts") {
         return load_blts(path);
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     if path.ends_with(".aut") {
-        Ok(read_aut(&text)?)
+        Ok(read_aut_capped(&text, max_states)?)
     } else {
         let spec = parse_spec(&text)?;
         Ok(explore(&spec, &ExploreOptions::with_max_states(max_states))?.lts)
@@ -1379,9 +1364,9 @@ fn load(path: &str, max_states: usize) -> Result<Lts, Box<dyn Error>> {
 }
 
 /// Budget-aware [`load`]: a `.aut` input is already materialized and loads
-/// fully; a mini-LOTOS source is explored under the budget, and a tripped
-/// budget comes back as `Ok(Err((partial_lts, reason)))` so callers can
-/// report partial results.
+/// fully if its declared state count fits the cap; a mini-LOTOS source is
+/// explored under the budget, and a tripped budget comes back as
+/// `Ok(Err((partial_lts, reason)))` so callers can report partial results.
 #[allow(clippy::type_complexity)]
 fn load_budgeted(
     path: &str,
@@ -1391,11 +1376,12 @@ fn load_budgeted(
         return Ok(Ok(load_blts(path)?));
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let max_states = budget.max_states_or(1_000_000);
     if path.ends_with(".aut") {
-        Ok(Ok(read_aut(&text)?))
+        Ok(Ok(read_aut_capped(&text, max_states)?))
     } else {
         let spec = parse_spec(&text)?;
-        let mut options = ExploreOptions::with_max_states(budget.max_states_or(1_000_000));
+        let mut options = ExploreOptions::with_max_states(max_states);
         if let Some(deadline) = budget.deadline() {
             options = options.with_deadline(deadline);
         }
@@ -1421,17 +1407,7 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
         Command::ExploreSpace { .. } => Err("`multival explore-space` is provided by the full \
              `multival` binary (crate multival-svc); the core library only parses the verb"
             .into()),
-        Command::Explore {
-            input,
-            aut,
-            blts,
-            dot,
-            budget,
-            threads,
-            on_the_fly,
-            store,
-            mem_budget,
-        } => {
+        Command::Explore { input, aut, blts, dot, budget, on_the_fly, store, mem_budget } => {
             let mut out = String::new();
             let mut status = CmdStatus::Ok;
             let max_states = budget.max_states_or(1_000_000);
@@ -1464,8 +1440,7 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                 let text = std::fs::read_to_string(input)
                     .map_err(|e| format!("cannot read `{input}`: {e}"))?;
                 let spec = parse_spec(&text)?;
-                let mut options =
-                    ExploreOptions::with_max_states(max_states).with_threads(*threads);
+                let mut options = ExploreOptions::with_max_states(max_states);
                 if let Some(deadline) = budget.deadline() {
                     options = options.with_deadline(deadline);
                 }
@@ -1489,36 +1464,13 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                     out.push_str(&StoreReport { kind, stats: run.store }.render());
                     run.lts
                 } else {
-                    let start = std::time::Instant::now();
                     let exploration = explore_partial(&spec, &options);
-                    let wall = start.elapsed();
                     if let Some(err) = &exploration.aborted {
                         let _ = writeln!(out, "warning: exploration aborted: {err}");
                         let _ = writeln!(out, "Budget exceeded; reporting the partial state space");
                         status = CmdStatus::BudgetExceeded;
                     }
-                    let explored = exploration.explored;
-                    if *threads != 1 {
-                        // Time a one-thread reference run so the report can
-                        // show the parallel speedup on this exact model.
-                        let start = std::time::Instant::now();
-                        let _ = explore_partial(&spec, &options.clone().with_threads(1));
-                        let baseline_wall = start.elapsed();
-                        let resolved = if *threads == 0 {
-                            std::thread::available_parallelism().map_or(1, |n| n.get())
-                        } else {
-                            *threads
-                        };
-                        let stats = ParStats {
-                            threads: resolved,
-                            states: explored.lts.num_states(),
-                            transitions: explored.lts.num_transitions(),
-                            wall,
-                            baseline_wall: Some(baseline_wall),
-                        };
-                        out.push_str(&stats.render());
-                    }
-                    explored.lts
+                    exploration.explored.lts
                 }
             };
             let _ = writeln!(out, "{}", lts.summary());
@@ -1601,18 +1553,7 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
             }
             Ok(out.into())
         }
-        Command::Reduce {
-            input,
-            eq,
-            order,
-            aut,
-            blts,
-            checkpoint,
-            threads,
-            budget,
-            store,
-            mem_budget,
-        } => {
+        Command::Reduce { input, eq, order, aut, blts, checkpoint, budget, store, mem_budget } => {
             use multival_lts::pipeline::PipelineOptions;
             if is_lts_file(input) {
                 return Err("reduce needs a mini-LOTOS model: a .aut/.blts file has no \
@@ -1629,7 +1570,6 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
             let options = PipelineOptions {
                 equivalence: *eq,
                 order: *order,
-                workers: if *threads == 0 { Workers::auto() } else { Workers::new(*threads) },
                 max_states: budget.max_states,
                 deadline: budget.deadline(),
                 checkpoint_dir: checkpoint.as_ref().map(std::path::PathBuf::from),
@@ -1709,7 +1649,6 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
         Command::Fuzz {
             seeds,
             corpus,
-            threads,
             budget,
             max_steps,
             max_colors,
@@ -1723,7 +1662,6 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                 seed_end: seeds.1,
                 corpus_dir: corpus.as_ref().map(std::path::PathBuf::from),
                 budget: *budget,
-                workers: if *threads == 0 { Workers::auto() } else { Workers::new(*threads) },
                 gen: multival_models::xmas::GenConfig {
                     max_steps: *max_steps,
                     max_colors: *max_colors,
@@ -1953,7 +1891,6 @@ mod tests {
                 blts: None,
                 dot: None,
                 budget: Budget::default(),
-                threads: 1,
                 on_the_fly: false,
                 store: None,
                 mem_budget: None,
@@ -1963,22 +1900,13 @@ mod tests {
 
     #[test]
     fn parses_explore_threads() {
-        let cmd = parse_args(&args(&["explore", "m.lot", "--threads", "4"])).expect("parses");
-        assert_eq!(
-            cmd,
-            Command::Explore {
-                input: "m.lot".into(),
-                aut: None,
-                blts: None,
-                dot: None,
-                budget: Budget::default(),
-                threads: 4,
-                on_the_fly: false,
-                store: None,
-                mem_budget: None,
-            }
-        );
-        assert!(parse_args(&args(&["explore", "m.lot", "--threads", "four"])).is_err());
+        // State-space verbs are sequential: `--threads` is not an option.
+        for verb in [&["explore", "m.lot"][..], &["reduce", "m.lot"], &["fuzz"]] {
+            let mut argv = verb.to_vec();
+            argv.extend(["--threads", "2"]);
+            let err = parse_args(&args(&argv)).expect_err("--threads is rejected");
+            assert!(err.contains("unexpected argument `--threads`"), "{err}");
+        }
     }
 
     #[test]
@@ -1989,7 +1917,6 @@ mod tests {
             Command::Fuzz {
                 seeds: (0, 16),
                 corpus: None,
-                threads: 1,
                 budget: Budget::default(),
                 max_steps: 7,
                 max_colors: 2,
@@ -2005,8 +1932,6 @@ mod tests {
             "5..64",
             "--corpus",
             "corp",
-            "--threads",
-            "0",
             "--max-states",
             "1000",
             "--timeout-secs",
@@ -2027,7 +1952,6 @@ mod tests {
             Command::Fuzz {
                 seeds: (5, 64),
                 corpus: Some("corp".into()),
-                threads: 0,
                 budget: Budget::default().with_max_states(1000).with_timeout_secs(30),
                 max_steps: 9,
                 max_colors: 3,
@@ -2090,7 +2014,6 @@ mod tests {
             blts: None,
             dot: None,
             budget: Budget::default().with_max_states(1000),
-            threads: 1,
             on_the_fly: true,
             store: None,
             mem_budget: None,
@@ -2549,7 +2472,6 @@ mod tests {
                 aut: None,
                 blts: None,
                 checkpoint: None,
-                threads: 1,
                 budget: Budget::default(),
                 store: None,
                 mem_budget: None,
@@ -2566,8 +2488,6 @@ mod tests {
             "out.aut",
             "--checkpoint",
             "ckpt",
-            "--threads",
-            "4",
             "--max-states",
             "100",
             "--blts",
@@ -2587,7 +2507,6 @@ mod tests {
                 aut: Some("out.aut".into()),
                 blts: Some("out.blts".into()),
                 checkpoint: Some("ckpt".into()),
-                threads: 4,
                 budget: Budget::default().with_max_states(100),
                 store: Some(multival_lts::StoreKind::Spill),
                 mem_budget: Some(64 << 20),
@@ -2640,27 +2559,26 @@ mod tests {
         std::fs::write(&model, CHAIN_NET).expect("write");
         let model = model.to_string_lossy().into_owned();
 
-        let reduce = |order: Order, threads: usize, aut: &str| Command::Reduce {
+        let reduce = |order: Order, aut: &str| Command::Reduce {
             input: model.clone(),
             eq: Equivalence::Branching,
             order,
             aut: Some(dir.join(aut).to_string_lossy().into_owned()),
             blts: None,
             checkpoint: None,
-            threads,
             budget: Budget::default(),
             store: None,
             mem_budget: None,
         };
-        let out = execute(&reduce(Order::Smart, 1, "smart.aut")).expect("reduce");
+        let out = execute(&reduce(Order::Smart, "smart.aut")).expect("reduce");
         assert_eq!(out.status, CmdStatus::Ok);
         assert!(out.contains("Gen"), "{}", out.text);
         assert!(out.contains("peak intermediate states:"), "{}", out.text);
         assert!(out.contains("reduced:"), "{}", out.text);
 
-        // Every order and worker count must produce byte-identical output.
-        execute(&reduce(Order::Given, 4, "given.aut")).expect("reduce");
-        execute(&reduce(Order::Seeded(9), 2, "seeded.aut")).expect("reduce");
+        // Every order must produce byte-identical output.
+        execute(&reduce(Order::Given, "given.aut")).expect("reduce");
+        execute(&reduce(Order::Seeded(9), "seeded.aut")).expect("reduce");
         let smart = std::fs::read(dir.join("smart.aut")).expect("read");
         assert!(!smart.is_empty());
         assert_eq!(smart, std::fs::read(dir.join("given.aut")).expect("read"));
@@ -2675,7 +2593,6 @@ mod tests {
             aut: None,
             blts: None,
             checkpoint: None,
-            threads: 1,
             budget: Budget::default().with_max_states(1),
             store: None,
             mem_budget: None,
@@ -2693,7 +2610,6 @@ mod tests {
             aut: None,
             blts: None,
             checkpoint: None,
-            threads: 1,
             budget: Budget::default(),
             store: None,
             mem_budget: None,
@@ -2721,7 +2637,6 @@ mod tests {
             aut: None,
             blts: None,
             checkpoint: Some(ckpt),
-            threads: 1,
             budget: Budget::default(),
             store: None,
             mem_budget: None,
@@ -2750,21 +2665,20 @@ mod tests {
         .expect("write");
         let model = model.to_string_lossy().into_owned();
 
-        // A threaded run prints the throughput report with a speedup line.
+        // A full run reports the whole state space.
         let out = execute(&Command::Explore {
             input: model.clone(),
             aut: None,
             blts: None,
             dot: None,
             budget: Budget::default().with_max_states(10_000),
-            threads: 4,
             on_the_fly: false,
             store: None,
             mem_budget: None,
         })
         .expect("explore");
         assert!(out.contains("states: 1681"), "{out}");
-        assert!(out.contains("speedup vs 1 thread"), "{out}");
+        assert!(!out.contains("warning"), "{out}");
 
         // A cap abort reports the partial state space instead of discarding it.
         let out = execute(&Command::Explore {
@@ -2773,7 +2687,6 @@ mod tests {
             blts: None,
             dot: None,
             budget: Budget::default().with_max_states(100),
-            threads: 1,
             on_the_fly: false,
             store: None,
             mem_budget: None,
@@ -2807,7 +2720,6 @@ mod tests {
             blts: None,
             dot: None,
             budget: Budget::default().with_max_states(1000),
-            threads: 1,
             on_the_fly: false,
             store: None,
             mem_budget: None,

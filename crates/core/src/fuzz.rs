@@ -83,8 +83,6 @@ pub struct FuzzOptions {
     pub corpus_dir: Option<PathBuf>,
     /// Shared wall-clock / state budget for the whole sweep.
     pub budget: Budget,
-    /// Worker threads for composition and minimization.
-    pub workers: Workers,
     /// Topology budget for the generator.
     pub gen: GenConfig,
     /// Plant the switch-polarity bug in the `.lot` renderer (harness
@@ -103,7 +101,6 @@ impl Default for FuzzOptions {
             seed_end: 16,
             corpus_dir: None,
             budget: Budget::default(),
-            workers: Workers::default(),
             gen: GenConfig::default(),
             inject_flip: false,
             max_shrink_rounds: 64,
@@ -300,7 +297,6 @@ fn check_fabric(
     let net = multival_models::xmas::compile::network_from_analysis(&analysis);
     let pipe_opts = PipelineOptions {
         equivalence: Equivalence::Branching,
-        workers: options.workers,
         max_states: Some(max_states),
         deadline,
         store: options.store,
@@ -322,7 +318,7 @@ fn check_fabric(
         .try_fold(1u128, |acc, n| acc.checked_mul(n))
         .unwrap_or(u128::MAX);
     if product_bound <= MONO_PRODUCT_CAP {
-        let mono = monolithic(&net, Equivalence::Branching, options.workers);
+        let mono = monolithic(&net, Equivalence::Branching, Workers::sequential());
         stats.states += mono.product_states;
         if write_aut(&canonicalize(&mono.lts)) != reduced_aut {
             return SeedOutcome::Mismatch(

@@ -100,58 +100,6 @@ impl Table {
     }
 }
 
-/// Throughput report for a (possibly parallel) state-space run.
-///
-/// Rendered by the `multival explore --threads N` path; the speedup line
-/// only appears when a one-thread reference run was timed.
-#[derive(Debug, Clone)]
-#[must_use]
-pub struct ParStats {
-    /// Worker threads used (already resolved; never 0).
-    pub threads: usize,
-    /// States generated.
-    pub states: usize,
-    /// Transitions generated.
-    pub transitions: usize,
-    /// Wall-clock time of the run.
-    pub wall: Duration,
-    /// Wall-clock time of the one-thread reference run, when measured.
-    pub baseline_wall: Option<Duration>,
-}
-
-impl ParStats {
-    /// States generated per second of wall-clock time.
-    pub fn states_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.states as f64 / secs
-        }
-    }
-
-    /// Speedup versus the one-thread reference, when one was timed.
-    pub fn speedup(&self) -> Option<f64> {
-        let base = self.baseline_wall?.as_secs_f64();
-        let wall = self.wall.as_secs_f64();
-        Some(if wall <= 0.0 { f64::INFINITY } else { base / wall })
-    }
-
-    /// Renders the report as an aligned two-column table.
-    pub fn render(&self) -> String {
-        let mut t = Table::new(&["exploration", "value"]);
-        t.row_owned(vec!["threads".into(), self.threads.to_string()]);
-        t.row_owned(vec!["states".into(), self.states.to_string()]);
-        t.row_owned(vec!["transitions".into(), self.transitions.to_string()]);
-        t.row_owned(vec!["wall-clock".into(), format!("{:.1} ms", self.wall.as_secs_f64() * 1e3)]);
-        t.row_owned(vec!["states/sec".into(), fmt_f(self.states_per_sec())]);
-        if let Some(s) = self.speedup() {
-            t.row_owned(vec!["speedup vs 1 thread".into(), format!("{s:.2}x")]);
-        }
-        t.render()
-    }
-}
-
 /// Report for an on-the-fly run: how much of the implicit state space the
 /// search actually visited versus what was materialized as an explicit LTS.
 ///
@@ -643,26 +591,6 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one"]);
-    }
-
-    #[test]
-    fn par_stats_report() {
-        let stats = ParStats {
-            threads: 4,
-            states: 10_000,
-            transitions: 40_000,
-            wall: Duration::from_millis(100),
-            baseline_wall: Some(Duration::from_millis(300)),
-        };
-        assert!((stats.states_per_sec() - 100_000.0).abs() < 1e-6);
-        assert!((stats.speedup().expect("baseline") - 3.0).abs() < 1e-9);
-        let text = stats.render();
-        assert!(text.contains("speedup vs 1 thread"), "{text}");
-        assert!(text.contains("3.00x"), "{text}");
-
-        let solo = ParStats { baseline_wall: None, ..stats };
-        assert!(solo.speedup().is_none());
-        assert!(!solo.render().contains("speedup"), "{}", solo.render());
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! * [`csl`] — CSL-style time-bounded until and reachability quantiles;
 //! * [`dtmc`] — embedded jump chains and discrete-time analyses;
 //! * [`rewards`] — accumulated and long-run reward measures;
-//! * [`simulate`] — single-trajectory Monte-Carlo walks;
 //! * [`mc`] — the parallel batched Monte-Carlo engine (deterministic seed
 //!   streams, Welford statistics, confidence-interval stopping);
 //! * [`phfit`] — moment-matching phase-type fitting of deterministic
@@ -53,7 +52,6 @@ pub mod mc;
 pub mod mdp;
 pub mod phfit;
 pub mod rewards;
-pub mod simulate;
 pub mod sparse;
 pub mod stats;
 pub mod steady;

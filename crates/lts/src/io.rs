@@ -105,16 +105,38 @@ fn unescape_label(raw: &str) -> String {
     out
 }
 
-/// Parses an Aldebaran file into an LTS.
+/// The fields of an Aldebaran header `des (initial, transitions, states)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AutHeader {
+    /// Declared initial state.
+    pub initial: u32,
+    /// Declared transition count.
+    pub transitions: usize,
+    /// Declared state count.
+    pub states: u32,
+}
+
+/// Parses only the header of Aldebaran text, so a caller can check the
+/// declared sizes against its budget before [`read_aut`] allocates for
+/// them.
 ///
 /// # Errors
 ///
-/// Returns [`ParseAutError`] on malformed headers or transition lines, state
-/// ids beyond the declared count, or a transition count mismatch.
-pub fn read_aut(text: &str) -> Result<Lts, ParseAutError> {
-    let mut lines = text.lines().enumerate();
-    let (header_no, header) = lines
-        .by_ref()
+/// Returns [`ParseAutError`] on an empty text or a malformed header.
+pub fn read_aut_header(text: &str) -> Result<AutHeader, ParseAutError> {
+    parse_aut_header(text).map(|(_, header)| header)
+}
+
+/// Parses one numeric field of an Aldebaran file (1-based `line`).
+fn parse_num(s: &str, line: usize) -> Result<u32, ParseAutError> {
+    s.parse::<u32>().map_err(|_| ParseAutError { line, message: format!("invalid number `{s}`") })
+}
+
+/// [`read_aut_header`] plus the 0-based index of the header line.
+fn parse_aut_header(text: &str) -> Result<(usize, AutHeader), ParseAutError> {
+    let (header_no, header) = text
+        .lines()
+        .enumerate()
         .find(|(_, l)| !l.trim().is_empty())
         .ok_or(ParseAutError { line: 1, message: "empty file".into() })?;
     let header = header.trim();
@@ -134,17 +156,28 @@ pub fn read_aut(text: &str) -> Result<Lts, ParseAutError> {
             message: "header must have three comma-separated fields".into(),
         });
     }
-    let parse_num = |s: &str, line: usize| {
-        s.parse::<u32>()
-            .map_err(|_| ParseAutError { line, message: format!("invalid number `{s}`") })
-    };
     let initial = parse_num(parts[0], header_no + 1)?;
-    let ntrans = parse_num(parts[1], header_no + 1)? as usize;
-    let nstates = parse_num(parts[2], header_no + 1)?;
+    let transitions = parse_num(parts[1], header_no + 1)? as usize;
+    let states = parse_num(parts[2], header_no + 1)?;
+    Ok((header_no, AutHeader { initial, transitions, states }))
+}
+
+/// Parses an Aldebaran file into an LTS.
+///
+/// The declared state count sizes the LTS, so callers reading untrusted
+/// text check it first with [`read_aut_header`].
+///
+/// # Errors
+///
+/// Returns [`ParseAutError`] on malformed headers or transition lines, state
+/// ids beyond the declared count, or a transition count mismatch.
+pub fn read_aut(text: &str) -> Result<Lts, ParseAutError> {
+    let (header_no, header) = parse_aut_header(text)?;
+    let AutHeader { initial, transitions: ntrans, states: nstates } = header;
 
     let mut labels = LabelTable::new();
     let mut transitions: Vec<(StateId, crate::label::LabelId, StateId)> = Vec::new();
-    for (no, raw) in lines {
+    for (no, raw) in text.lines().enumerate().skip(header_no + 1) {
         let line = raw.trim();
         if line.is_empty() {
             continue;
@@ -601,7 +634,10 @@ impl<'a> BltsReader<'a> {
 /// (see [`BltsReader`]); never panics.
 pub fn read_blts(bytes: &[u8]) -> Result<Lts, BltsError> {
     let mut reader = BltsReader::new(bytes)?;
-    let mut transitions = Vec::with_capacity(reader.num_transitions);
+    // The declared count is untrusted: reserve no more than the input size
+    // up front, and let compressed columns that decode to more transitions
+    // grow the vector as they are read.
+    let mut transitions = Vec::with_capacity(reader.num_transitions.min(bytes.len()));
     while let Some(chunk) = reader.next_chunk() {
         transitions.extend_from_slice(chunk?);
     }

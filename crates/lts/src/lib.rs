@@ -61,6 +61,7 @@ pub mod vbyte;
 pub use label::{LabelId, LabelTable};
 pub use lts::{Lts, LtsBuilder, StateId, Transition};
 pub use minimize::{Equivalence, Partition, ReductionStats};
+/// The worker-count type of [`monolithic`]'s ignored argument.
 pub use multival_par::Workers;
 pub use pipeline::{
     canonicalize, monolithic, run_pipeline, AbortReason, MonolithicRun, Network, Order,

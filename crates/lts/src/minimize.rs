@@ -10,14 +10,10 @@
 //! sub-module LTSs are minimized before being composed, keeping intermediate
 //! state spaces small (experiment E1/E9).
 //!
-//! Each refinement sweep is embarrassingly parallel in its expensive part
-//! (per-state signature computation); [`partition_refinement_with`] and
-//! [`minimize_with`] accept a [`Workers`] knob for it. Signature→block
-//! interning stays sequential in state order, so the resulting partition —
-//! including block numbering — is identical at any worker count.
+//! Signatures are interned into blocks in state order, so the resulting
+//! partition, block numbering included, is deterministic.
 
 use crate::lts::{Lts, StateId, Transition};
-use multival_par::{par_map, Workers};
 use std::collections::HashMap;
 
 /// Which behavioural equivalence to minimize (or compare) modulo.
@@ -100,17 +96,15 @@ pub struct ReductionStats {
 
 /// Computes the coarsest partition of `lts` for the given equivalence.
 pub fn partition_refinement(lts: &Lts, eq: Equivalence) -> Partition {
-    partition_refinement_with(lts, eq, Workers::sequential())
+    refine(lts, eq).0
 }
 
-/// [`partition_refinement`] with an explicit worker count for the
-/// per-sweep signature computation. The partition (blocks *and* their
-/// numbering) is identical at any worker count.
-pub fn partition_refinement_with(lts: &Lts, eq: Equivalence, workers: Workers) -> Partition {
+/// The coarsest partition plus the number of refinement sweeps it took.
+fn refine(lts: &Lts, eq: Equivalence) -> (Partition, usize) {
     match eq {
-        Equivalence::Strong => strong_partition(lts, workers).0,
-        Equivalence::Branching => branching_partition(lts, false, workers).0,
-        Equivalence::BranchingDivergence => branching_partition(lts, true, workers).0,
+        Equivalence::Strong => strong_partition(lts),
+        Equivalence::Branching => branching_partition(lts, false),
+        Equivalence::BranchingDivergence => branching_partition(lts, true),
     }
 }
 
@@ -132,17 +126,7 @@ pub fn partition_refinement_with(lts: &Lts, eq: Equivalence, workers: Workers) -
 /// assert_eq!(stats.states_before, 3);
 /// ```
 pub fn minimize(lts: &Lts, eq: Equivalence) -> (Lts, ReductionStats) {
-    minimize_with(lts, eq, Workers::sequential())
-}
-
-/// [`minimize`] with an explicit worker count; the quotient is identical
-/// at any worker count.
-pub fn minimize_with(lts: &Lts, eq: Equivalence, workers: Workers) -> (Lts, ReductionStats) {
-    let (part, iterations) = match eq {
-        Equivalence::Strong => strong_partition(lts, workers),
-        Equivalence::Branching => branching_partition(lts, false, workers),
-        Equivalence::BranchingDivergence => branching_partition(lts, true, workers),
-    };
+    let (part, iterations) = refine(lts, eq);
     let quotient = quotient(lts, &part, eq);
     let stats = ReductionStats {
         states_before: lts.num_states(),
@@ -188,31 +172,25 @@ pub fn quotient(lts: &Lts, part: &Partition, eq: Equivalence) -> Lts {
     full.reachable().0
 }
 
-fn strong_partition(lts: &Lts, workers: Workers) -> (Partition, usize) {
+fn strong_partition(lts: &Lts) -> (Partition, usize) {
     let n = lts.num_states();
-    let state_ids: Vec<StateId> = (0..n as StateId).collect();
     let mut part = Partition::unit(n);
     let mut iterations = 0;
     loop {
         iterations += 1;
-        // Parallel stage: per-state signatures (pure function of the
-        // frozen partition, so worker count cannot affect the values).
-        let sigs: Vec<Vec<(u32, u32)>> = par_map(workers, &state_ids, |_, &s| {
+        // Intern per-state signatures in state order, which fixes the new
+        // block numbering deterministically.
+        let mut sig_index: HashMap<(u32, Vec<(u32, u32)>), u32> = HashMap::new();
+        let mut new_block = vec![0u32; n];
+        for (s, slot) in new_block.iter_mut().enumerate() {
+            let s = s as StateId;
             let mut sig: Vec<(u32, u32)> =
                 lts.transitions_from(s).iter().map(|t| (t.label.0, part.block(t.target))).collect();
             sig.sort_unstable();
             sig.dedup();
-            sig
-        });
-        // Sequential stage: intern signatures in state order, which fixes
-        // the new block numbering deterministically.
-        let mut sig_index: HashMap<(u32, Vec<(u32, u32)>), u32> = HashMap::new();
-        let mut new_block = vec![0u32; n];
-        for (s, sig) in sigs.into_iter().enumerate() {
-            let key = (part.block(s as StateId), sig);
+            let key = (part.block(s), sig);
             let next = sig_index.len() as u32;
-            let id = *sig_index.entry(key).or_insert(next);
-            new_block[s] = id;
+            *slot = *sig_index.entry(key).or_insert(next);
         }
         let nb = sig_index.len() as u32;
         if nb == part.num_blocks() {
@@ -300,11 +278,7 @@ fn tau_sccs(lts: &Lts) -> (Vec<u32>, u32) {
     (scc, next_scc)
 }
 
-fn branching_partition(
-    lts: &Lts,
-    divergence_sensitive: bool,
-    workers: Workers,
-) -> (Partition, usize) {
+fn branching_partition(lts: &Lts, divergence_sensitive: bool) -> (Partition, usize) {
     let n = lts.num_states();
     if n == 0 {
         return (Partition::unit(0), 0);
@@ -338,7 +312,6 @@ fn branching_partition(
             part = Partition::from_assignment(assignment, 2);
         }
     }
-    let scc_ids: Vec<u32> = (0.._num_sccs).collect();
     let mut iterations = 0;
     loop {
         iterations += 1;
@@ -349,19 +322,19 @@ fn branching_partition(
         //            ∪ {sig(C') | s -τ-> t inert, t ∈ C' ≠ C}
         // where "inert" means τ with B(s) == B(t).
         //
-        // Parallel stage: the local part of each SCC's signature — its
-        // non-inert pairs plus the list of inert-successor SCCs (pure
-        // reads of the frozen partition).
-        type SccLocal = (Vec<(u32, u32)>, Vec<usize>);
-        let locals: Vec<SccLocal> = par_map(workers, &scc_ids, |_, &c| {
+        // Ascending SCC order (Tarjan ids are reverse-topological) makes
+        // every referenced sig(C') final before it is read.
+        let mut scc_sigs: Vec<Vec<(u32, u32)>> = Vec::with_capacity(num_sccs_usize);
+        let mut deps: Vec<usize> = Vec::new();
+        for (c, scc_members) in members.iter().enumerate() {
             let mut sig: Vec<(u32, u32)> = Vec::new();
-            let mut deps: Vec<usize> = Vec::new();
-            for &s in &members[c as usize] {
+            deps.clear();
+            for &s in scc_members {
                 for t in lts.transitions_from(s) {
                     let inert = t.label.is_tau() && part.block(t.target) == part.block(s);
                     if inert {
                         let c2 = scc_of[t.target as usize] as usize;
-                        if c2 != c as usize {
+                        if c2 != c {
                             deps.push(c2);
                         }
                     } else {
@@ -369,14 +342,7 @@ fn branching_partition(
                     }
                 }
             }
-            (sig, deps)
-        });
-        // Sequential stage: inert-closure propagation. Ascending SCC order
-        // (Tarjan ids are reverse-topological) makes every referenced
-        // sig(C') final before it is read.
-        let mut scc_sigs: Vec<Vec<(u32, u32)>> = Vec::with_capacity(num_sccs_usize);
-        for (c, (mut sig, deps)) in locals.into_iter().enumerate() {
-            for c2 in deps {
+            for &c2 in &deps {
                 debug_assert!(c2 < c, "τ-successor SCC must precede");
                 sig.extend_from_slice(&scc_sigs[c2]);
             }
@@ -673,52 +639,6 @@ mod tests {
         let lts = b.build(s[0]);
         let (c, _) = collapse_tau_sccs(&lts);
         assert_eq!(c.num_states(), 3); // {0,1}, {2}, {3}
-    }
-
-    #[test]
-    fn parallel_refinement_matches_sequential_exactly() {
-        // A deterministic pseudo-random LTS big enough for several sweeps:
-        // 600 states, 3 labels + τ, ~4 transitions per state.
-        let mut b = LtsBuilder::new();
-        let n = 600u32;
-        for _ in 0..n {
-            b.add_state();
-        }
-        let labels = ["a", "b", "c", "i"];
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut step = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for s in 0..n {
-            b.add_transition(s, "i", (s + 1) % n); // τ chain keeps all reachable
-            for _ in 0..3 {
-                let l = labels[(step() % 4) as usize];
-                let t = (step() % n as u64) as u32;
-                b.add_transition(s, l, t);
-            }
-        }
-        let lts = b.build(0);
-        for eq in [Equivalence::Strong, Equivalence::Branching, Equivalence::BranchingDivergence] {
-            let seq = partition_refinement(&lts, eq);
-            for threads in [2, 4] {
-                let par = partition_refinement_with(&lts, eq, Workers::new(threads));
-                assert_eq!(par.num_blocks(), seq.num_blocks(), "{eq:?} @{threads}");
-                for s in 0..n {
-                    assert_eq!(par.block(s), seq.block(s), "{eq:?} state {s} @{threads}");
-                }
-            }
-            let (m_seq, st_seq) = minimize(&lts, eq);
-            let (m_par, st_par) = minimize_with(&lts, eq, Workers::new(4));
-            assert_eq!(st_seq, st_par, "{eq:?} stats");
-            assert_eq!(
-                crate::io::write_aut(&m_seq),
-                crate::io::write_aut(&m_par),
-                "{eq:?} quotient"
-            );
-        }
     }
 
     #[test]

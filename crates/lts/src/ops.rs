@@ -7,10 +7,9 @@
 
 use crate::label::gate_of;
 use crate::lts::Lts;
-use crate::reach::materialize_with;
+use crate::reach::materialize;
 use crate::store::{make_store, StoreConfig};
 use crate::ts::LazyProduct;
-use multival_par::Workers;
 use std::collections::{HashMap, HashSet};
 
 /// Synchronization discipline for [`compose`].
@@ -80,16 +79,7 @@ impl Sync {
 /// assert_eq!(inter.num_states(), 4); // diamond
 /// ```
 pub fn compose(left: &Lts, right: &Lts, sync: &Sync) -> Lts {
-    compose_with(left, right, sync, Workers::sequential())
-}
-
-/// [`compose`] with an explicit worker count for product-state successor
-/// generation. The result — state numbering, label table, transitions —
-/// is identical at any worker count: this is a thin wrapper that explores
-/// a [`LazyProduct`] with [`materialize_with`], whose parallel path only
-/// derives successor lists level by level and renumbers sequentially.
-pub fn compose_with(left: &Lts, right: &Lts, sync: &Sync, workers: Workers) -> Lts {
-    materialize_with(&LazyProduct::new(&[left, right], sync), workers)
+    materialize(&LazyProduct::new(&[left, right], sync))
 }
 
 /// N-ary parallel composition of `parts` under a single sync discipline,
@@ -100,33 +90,23 @@ pub fn compose_with(left: &Lts, right: &Lts, sync: &Sync, workers: Workers) -> L
 ///
 /// Panics if `parts` is empty.
 pub fn compose_all(parts: &[&Lts], sync: &Sync) -> Lts {
-    compose_all_with(parts, sync, Workers::sequential())
-}
-
-/// [`compose_all`] with an explicit worker count.
-pub fn compose_all_with(parts: &[&Lts], sync: &Sync, workers: Workers) -> Lts {
     assert!(!parts.is_empty(), "compose_all needs at least one LTS");
-    materialize_with(&LazyProduct::new(parts, sync), workers)
+    materialize(&LazyProduct::new(parts, sync))
 }
 
-/// [`compose_all_with`] over a pluggable [`StateStore`](crate::store::StateStore) backend selected
+/// [`compose_all`] over a pluggable [`StateStore`](crate::store::StateStore) backend selected
 /// by `config` — the frontier dedup then lives in a packed arena or
 /// spills to disk instead of a per-state-allocating hash map. The result
-/// is byte-identical to [`compose_all_with`] for every backend and worker
-/// count (see [`crate::reach::materialize_store`]).
+/// is byte-identical to [`compose_all`] for every backend (see
+/// [`crate::reach::materialize_store`]).
 ///
 /// # Panics
 ///
 /// Panics if `parts` is empty.
-pub fn compose_all_store(
-    parts: &[&Lts],
-    sync: &Sync,
-    workers: Workers,
-    config: &StoreConfig,
-) -> Lts {
+pub fn compose_all_store(parts: &[&Lts], sync: &Sync, config: &StoreConfig) -> Lts {
     assert!(!parts.is_empty(), "compose_all needs at least one LTS");
     let mut store = make_store(config);
-    crate::reach::materialize_store(&LazyProduct::new(parts, sync), workers, store.as_mut())
+    crate::reach::materialize_store(&LazyProduct::new(parts, sync), store.as_mut())
 }
 
 /// Hides every label whose gate is in `gates`, turning it into τ
@@ -287,34 +267,6 @@ mod tests {
         map.insert("PUSH".to_owned(), "IN".to_owned());
         let r = rename_gates(&a, &map);
         assert!(r.labels().lookup("IN !7").is_some());
-    }
-
-    #[test]
-    fn parallel_compose_is_bit_identical() {
-        // Two medium cycles sharing a sync gate: 30×42 product with both
-        // interleaved and synchronized moves.
-        let mut left_labels: Vec<String> = (0..30).map(|i| format!("L !{i}")).collect();
-        left_labels[7] = "S !1".to_owned();
-        left_labels[19] = "S !2".to_owned();
-        let mut right_labels: Vec<String> = (0..42).map(|i| format!("R !{i}")).collect();
-        right_labels[3] = "S !1".to_owned();
-        right_labels[31] = "S !2".to_owned();
-        fn as_strs(v: &[String]) -> Vec<&str> {
-            v.iter().map(String::as_str).collect()
-        }
-        let a = cycle(&as_strs(&left_labels));
-        let b = cycle(&as_strs(&right_labels));
-        for sync in [Sync::Interleave, Sync::on(["S"]), Sync::Full] {
-            let seq = compose(&a, &b, &sync);
-            for threads in [2, 4] {
-                let par = compose_with(&a, &b, &sync, Workers::new(threads));
-                assert_eq!(
-                    crate::io::write_aut(&seq),
-                    crate::io::write_aut(&par),
-                    "{sync:?} @{threads}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! The final result is passed through [`canonicalize`], which renumbers
 //! states and labels into a form that depends only on the structure of
 //! the LTS — byte-identical [`crate::io::write_aut`] output across
-//! composition orders, worker counts, and checkpoint restarts.
+//! composition orders, store backends, and checkpoint restarts.
 //!
 //! # Network semantics
 //!
@@ -45,7 +45,7 @@ use std::time::Instant;
 use crate::io::{read_blts, write_aut, write_blts};
 use crate::label::gate_of;
 use crate::lts::{Lts, LtsBuilder};
-use crate::minimize::{minimize_with, Equivalence};
+use crate::minimize::{minimize, Equivalence};
 use crate::ops::{self, Sync};
 use crate::reach::{self, ReachOptions};
 use crate::store::{StoreConfig, StoreKind};
@@ -183,8 +183,6 @@ pub struct PipelineOptions {
     pub equivalence: Equivalence,
     /// Composition-order policy.
     pub order: Order,
-    /// Worker count for composition and partition refinement.
-    pub workers: Workers,
     /// Inclusive cap on any intermediate product's state count: the stage
     /// product is scanned lazily first and the pipeline aborts (with
     /// partial progress) before materializing past the cap.
@@ -206,7 +204,6 @@ impl Default for PipelineOptions {
         PipelineOptions {
             equivalence: Equivalence::Branching,
             order: Order::Smart,
-            workers: Workers::default(),
             max_states: None,
             deadline: None,
             checkpoint_dir: None,
@@ -329,10 +326,15 @@ pub struct MonolithicRun {
 /// pipeline against, and the baseline the paper's compositional flow is
 /// measured by.
 ///
+/// `_workers` is accepted and ignored: composition and minimization are
+/// sequential. It stays only so the standalone `perfbench` package, which
+/// is versioned apart from this crate, still compiles; every caller in
+/// this workspace passes one worker.
+///
 /// # Panics
 ///
 /// Panics if the network has no components.
-pub fn monolithic(network: &Network, eq: Equivalence, workers: Workers) -> MonolithicRun {
+pub fn monolithic(network: &Network, eq: Equivalence, _workers: Workers) -> MonolithicRun {
     assert!(!network.components.is_empty(), "monolithic build needs at least one component");
     let alphabets = network.alphabets();
     let mut folded_alpha = alphabets[0].clone();
@@ -340,14 +342,14 @@ pub fn monolithic(network: &Network, eq: Equivalence, workers: Workers) -> Monol
     let mut peak = acc.num_states();
     for (k, (_, comp)) in network.components.iter().enumerate().skip(1) {
         let sync = stage_sync(&folded_alpha, &alphabets[k], &network.sync_gates);
-        acc = ops::compose_with(&acc, comp, &sync, workers);
+        acc = ops::compose(&acc, comp, &sync);
         folded_alpha.extend(alphabets[k].iter().cloned());
         peak = peak.max(acc.num_states());
     }
     let product_states = acc.num_states();
     let product_transitions = acc.num_transitions();
     let hidden = ops::hide(&acc, network.hidden.iter().map(String::as_str));
-    let (minimized, _) = minimize_with(&hidden, eq, workers);
+    let (minimized, _) = minimize(&hidden, eq);
     MonolithicRun {
         lts: canonicalize(&minimized),
         product_states,
@@ -417,9 +419,9 @@ pub fn run_pipeline(network: &Network, options: &PipelineOptions) -> PipelineRun
                 }
             }
             if options.store.kind == StoreKind::Hash {
-                ops::compose_with(prev, comp, &sync, options.workers)
+                ops::compose(prev, comp, &sync)
             } else {
-                ops::compose_all_store(&[prev, comp], &sync, options.workers, &options.store)
+                ops::compose_all_store(&[prev, comp], &sync, &options.store)
             }
         } else {
             if let Some(cap) = options.max_states {
@@ -442,7 +444,7 @@ pub fn run_pipeline(network: &Network, options: &PipelineOptions) -> PipelineRun
         } else {
             ops::hide(&product, to_hide.iter().map(String::as_str))
         };
-        let (minimized, _) = minimize_with(&internalized, options.equivalence, options.workers);
+        let (minimized, _) = minimize(&internalized, options.equivalence);
         hidden_done.extend(completed.iter().cloned());
         let stat = StageStats {
             stage: k,
@@ -690,7 +692,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Renumbers states and labels of `lts` into a canonical form: the output
 /// depends only on the structure of the LTS (up to isomorphism), so two
 /// isomorphic inputs — e.g. the same network reduced in different orders,
-/// at different worker counts, or across a checkpoint restart — serialize
+/// through different store backends, or across a checkpoint restart — serialize
 /// to byte-identical [`write_aut`] text.
 ///
 /// States are ordered by color refinement (iterated strong-bisimulation
@@ -954,7 +956,7 @@ mod tests {
     #[test]
     fn pipeline_matches_monolithic_on_chain() {
         let net = chain();
-        let mono = monolithic(&net, Equivalence::Branching, Workers::default());
+        let mono = monolithic(&net, Equivalence::Branching, Workers::sequential());
         for order in [Order::Given, Order::Smart, Order::Seeded(7)] {
             let run = run_pipeline(&net, &PipelineOptions { order, ..PipelineOptions::default() });
             assert!(run.complete());
@@ -977,7 +979,7 @@ mod tests {
         }
         let hops: Vec<String> = (1..k).map(|i| format!("h{i}")).collect();
         net.sync_on(hops.iter().cloned()).hide(hops);
-        let mono = monolithic(&net, Equivalence::Branching, Workers::default());
+        let mono = monolithic(&net, Equivalence::Branching, Workers::sequential());
         let run = run_pipeline(&net, &PipelineOptions::default());
         assert!(run.complete());
         assert_eq!(mono.product_states, 1 << k);
@@ -995,21 +997,15 @@ mod tests {
         let net = chain();
         let reference = run_pipeline(&net, &PipelineOptions::default());
         for seed in 0..6 {
-            for workers in [1, 4] {
-                let run = run_pipeline(
-                    &net,
-                    &PipelineOptions {
-                        order: Order::Seeded(seed),
-                        workers: Workers::new(workers),
-                        ..PipelineOptions::default()
-                    },
-                );
-                assert_eq!(
-                    write_aut(&run.lts),
-                    write_aut(&reference.lts),
-                    "seed {seed} × {workers} workers broke canonical determinism"
-                );
-            }
+            let run = run_pipeline(
+                &net,
+                &PipelineOptions { order: Order::Seeded(seed), ..PipelineOptions::default() },
+            );
+            assert_eq!(
+                write_aut(&run.lts),
+                write_aut(&reference.lts),
+                "seed {seed} broke canonical determinism"
+            );
         }
     }
 
@@ -1037,7 +1033,7 @@ mod tests {
     #[test]
     fn strong_equivalence_pipeline_agrees() {
         let net = chain();
-        let mono = monolithic(&net, Equivalence::Strong, Workers::default());
+        let mono = monolithic(&net, Equivalence::Strong, Workers::sequential());
         let run = run_pipeline(
             &net,
             &PipelineOptions { equivalence: Equivalence::Strong, ..PipelineOptions::default() },
@@ -1055,7 +1051,7 @@ mod tests {
         net.add_component("l", lts_from_triples(&[(0, "a", 1), (1, "b", 0)]))
             .add_component("r", lts_from_triples(&[(0, "a", 1), (1, "c", 0)]))
             .sync_on(["a", "b"]);
-        let mono = monolithic(&net, Equivalence::Branching, Workers::default());
+        let mono = monolithic(&net, Equivalence::Branching, Workers::sequential());
         for order in [Order::Given, Order::Seeded(3)] {
             let run = run_pipeline(&net, &PipelineOptions { order, ..PipelineOptions::default() });
             assert_eq!(write_aut(&run.lts), write_aut(&mono.lts));
@@ -1074,7 +1070,7 @@ mod tests {
             .add_component("r", lts_from_triples(&[(0, "a", 1), (1, "b", 0)]))
             .sync_on(["a"])
             .hide(["exit", "b"]);
-        let mono = monolithic(&net, Equivalence::Branching, Workers::default());
+        let mono = monolithic(&net, Equivalence::Branching, Workers::sequential());
         assert!(!mono.lts.used_gates().contains("exit"));
         for order in [Order::Given, Order::Smart, Order::Seeded(11)] {
             let run = run_pipeline(&net, &PipelineOptions { order, ..PipelineOptions::default() });
@@ -1173,7 +1169,7 @@ mod tests {
         // Smart must pick a connected fold: c3 and c1 share nothing, so
         // folding them first would interleave into 4 states; a connected
         // order keeps every stage at or below the minimized queue sizes.
-        let mono = monolithic(&net, Equivalence::Branching, Workers::default());
+        let mono = monolithic(&net, Equivalence::Branching, Workers::sequential());
         assert!(run.peak_states() <= mono.product_states);
         assert_eq!(write_aut(&run.lts), write_aut(&mono.lts));
     }

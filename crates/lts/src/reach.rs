@@ -12,7 +12,6 @@ use crate::label::{LabelId, LabelTable};
 use crate::lts::{Lts, StateId};
 use crate::store::{PackState, StateStore};
 use crate::ts::TransitionSystem;
-use multival_par::{par_map, ShardedIndex, Workers};
 use std::collections::{HashMap, VecDeque};
 
 /// Caps for the on-the-fly searches.
@@ -67,139 +66,6 @@ pub struct SearchOutcome {
 /// to the eager [`crate::ops::compose`] — which is now implemented as
 /// exactly this call.
 pub fn materialize<T: TransitionSystem>(ts: &T) -> Lts {
-    materialize_with(ts, Workers::sequential())
-}
-
-/// [`materialize`] with an explicit worker count for successor derivation.
-///
-/// The result is identical at any worker count for systems with a fixed
-/// label table: workers only derive successor lists level by level, and a
-/// sequential merge in canonical frontier order assigns state numbers
-/// exactly as the sequential BFS would (the same scheme as the parallel
-/// `pa` explorer). Lazily-interning systems must use
-/// [`Workers::sequential`] — see the determinism contract in
-/// [`crate::ts`].
-pub fn materialize_with<T: TransitionSystem>(ts: &T, workers: Workers) -> Lts {
-    if workers.is_sequential() {
-        return materialize_sequential(ts);
-    }
-
-    /// Sentinel: provisional id not yet assigned a canonical number.
-    const NO_CANON: StateId = StateId::MAX;
-    let index: ShardedIndex<T::State> = ShardedIndex::new();
-    let mut prov2canon: Vec<StateId> = Vec::new();
-    let mut states: Vec<T::State> = Vec::new();
-    let mut transitions: Vec<(StateId, LabelId, StateId)> = Vec::new();
-
-    let init = ts.initial_state();
-    index.get_or_insert(init.clone());
-    prov2canon.push(0);
-    states.push(init);
-    let mut num_states: u32 = 1;
-
-    // Per-frontier-state output of the parallel stage: the successor list
-    // (label, provisional id) plus the freshly discovered target states.
-    type LevelResult<S> = (Vec<(LabelId, u32)>, Vec<(u32, S)>);
-
-    let mut frontier: Vec<StateId> = vec![0];
-    while !frontier.is_empty() {
-        // Parallel stage: successor derivation + provisional numbering.
-        let results: Vec<LevelResult<T::State>> = par_map(workers, &frontier, |_, &s| {
-            let mut succ = Vec::new();
-            let mut fresh = Vec::new();
-            for (label, target) in ts.successors(&states[s as usize]) {
-                let (prov, was_new) = index.get_or_insert(target.clone());
-                if was_new {
-                    fresh.push((prov, target));
-                }
-                succ.push((label, prov));
-            }
-            (succ, fresh)
-        });
-
-        let first_new = prov2canon.len() as u32;
-        let new_count = (index.next_id() - first_new) as usize;
-        let mut fresh_states: Vec<Option<T::State>> = vec![None; new_count];
-        for (_, fresh) in &results {
-            for (prov, state) in fresh {
-                fresh_states[(prov - first_new) as usize] = Some(state.clone());
-            }
-        }
-        prov2canon.resize(index.next_id() as usize, NO_CANON);
-
-        // Sequential merge: canonical numbering in frontier order.
-        let mut next_frontier: Vec<StateId> = Vec::new();
-        for (i, (succ, _)) in results.into_iter().enumerate() {
-            let src = frontier[i];
-            for (label, prov) in succ {
-                let mut dst = prov2canon[prov as usize];
-                if dst == NO_CANON {
-                    dst = num_states;
-                    num_states += 1;
-                    prov2canon[prov as usize] = dst;
-                    states.push(
-                        fresh_states[(prov - first_new) as usize]
-                            .take()
-                            .expect("every provisional id has a registered state"),
-                    );
-                    next_frontier.push(dst);
-                }
-                transitions.push((src, label, dst));
-            }
-        }
-        frontier = next_frontier;
-    }
-    Lts::from_parts(ts.label_table(), num_states, 0, transitions)
-}
-
-/// [`materialize_with`] over a pluggable [`StateStore`]: visited-state
-/// dedup runs on *packed byte keys* owned by the store instead of a
-/// `HashMap` of cloned state values, so the resident set can live in a
-/// packed arena or spill to disk (see [`crate::store`]).
-///
-/// The result is byte-identical to [`materialize_with`] at any worker
-/// count and with any backend: workers only derive successor lists level
-/// by level, and the sequential merge interns targets in canonical
-/// frontier order — exactly the discovery order of the sequential BFS.
-/// Only frontier states are kept as live values; the interior of the
-/// visited set exists solely as packed keys inside the store.
-pub fn materialize_store<T>(ts: &T, workers: Workers, store: &mut dyn StateStore) -> Lts
-where
-    T: TransitionSystem,
-    T::State: PackState,
-{
-    let mut key = Vec::new();
-    let init = ts.initial_state();
-    init.pack(&mut key);
-    let (id, fresh) = store.get_or_insert(&key);
-    assert!(fresh && id == 0, "materialize_store needs an empty store");
-    let mut frontier: Vec<(StateId, T::State)> = vec![(0, init)];
-    let mut transitions: Vec<(StateId, LabelId, StateId)> = Vec::new();
-
-    while !frontier.is_empty() {
-        // Parallel stage: derivation only — dedup is the merge's job, so
-        // the store needs no synchronization at all.
-        let results: Vec<Vec<(LabelId, T::State)>> =
-            par_map(workers, &frontier, |_, (_, s)| ts.successors(s));
-
-        let mut next: Vec<(StateId, T::State)> = Vec::new();
-        for ((src, _), succ) in frontier.iter().zip(results) {
-            for (label, target) in succ {
-                key.clear();
-                target.pack(&mut key);
-                let (dst, new) = store.get_or_insert(&key);
-                if new {
-                    next.push((dst, target));
-                }
-                transitions.push((*src, label, dst));
-            }
-        }
-        frontier = next;
-    }
-    Lts::from_parts(ts.label_table(), store.len() as u32, 0, transitions)
-}
-
-fn materialize_sequential<T: TransitionSystem>(ts: &T) -> Lts {
     let mut index: HashMap<T::State, StateId> = HashMap::new();
     let mut queue: VecDeque<T::State> = VecDeque::new();
     let mut transitions: Vec<(StateId, LabelId, StateId)> = Vec::new();
@@ -226,6 +92,42 @@ fn materialize_sequential<T: TransitionSystem>(ts: &T) -> Lts {
         }
     }
     Lts::from_parts(ts.label_table(), num_states, 0, transitions)
+}
+
+/// [`materialize`] over a pluggable [`StateStore`]: visited-state
+/// dedup runs on *packed byte keys* owned by the store instead of a
+/// `HashMap` of cloned state values, so the resident set can live in a
+/// packed arena or spill to disk (see [`crate::store`]).
+///
+/// The result is byte-identical to [`materialize`] with any backend: the
+/// store interns targets in the same BFS discovery order. Only queued
+/// states are kept as live values; the interior of the visited set exists
+/// solely as packed keys inside the store.
+pub fn materialize_store<T>(ts: &T, store: &mut dyn StateStore) -> Lts
+where
+    T: TransitionSystem,
+    T::State: PackState,
+{
+    let mut key = Vec::new();
+    let init = ts.initial_state();
+    init.pack(&mut key);
+    let (id, fresh) = store.get_or_insert(&key);
+    assert!(fresh && id == 0, "materialize_store needs an empty store");
+    let mut queue: VecDeque<(StateId, T::State)> = VecDeque::from([(0, init)]);
+    let mut transitions: Vec<(StateId, LabelId, StateId)> = Vec::new();
+
+    while let Some((src, state)) = queue.pop_front() {
+        for (label, target) in ts.successors(&state) {
+            key.clear();
+            target.pack(&mut key);
+            let (dst, new) = store.get_or_insert(&key);
+            if new {
+                queue.push_back((dst, target));
+            }
+            transitions.push((src, label, dst));
+        }
+    }
+    Lts::from_parts(ts.label_table(), store.len() as u32, 0, transitions)
 }
 
 /// A streaming reachability scan: counts without storing the graph.
@@ -698,18 +600,12 @@ mod tests {
         let product = LazyProduct::new(&parts, &ops::Sync::on(["S"]));
         let want = crate::io::write_aut(&materialize(&product));
         for kind in StoreKind::ALL {
-            for workers in [1, 4] {
-                // A 1-byte budget forces the spill backend to page out
-                // every sealed segment; other backends ignore it.
-                let mut store = make_store(&StoreConfig { kind, mem_budget: Some(1) });
-                let got = materialize_store(&product, Workers::new(workers), store.as_mut());
-                assert_eq!(
-                    want,
-                    crate::io::write_aut(&got),
-                    "store {kind} at {workers} workers diverged"
-                );
-                assert_eq!(store.len(), got.num_states());
-            }
+            // A 1-byte budget forces the spill backend to page out every
+            // sealed segment; other backends ignore it.
+            let mut store = make_store(&StoreConfig { kind, mem_budget: Some(1) });
+            let got = materialize_store(&product, store.as_mut());
+            assert_eq!(want, crate::io::write_aut(&got), "store {kind} diverged");
+            assert_eq!(store.len(), got.num_states());
         }
     }
 

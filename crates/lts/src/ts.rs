@@ -8,17 +8,13 @@
 //! for explicit [`Lts`] graphs, lazy parallel products, relabeling views,
 //! and the process-algebra explorer's SOS successor function alike.
 //!
-//! # Determinism contract
+//! # Determinism
 //!
-//! Implementations whose [`label_table`](TransitionSystem::label_table) is
-//! fixed at construction time ([`Lts`], [`LazyProduct`], [`HideView`])
-//! guarantee that [`crate::reach::materialize_with`] produces bit-identical
-//! output at any worker count. Implementations that intern labels lazily
-//! during exploration (the `pa` explorer's term-level system, or
-//! [`RenameView`] over such a system) assign label ids in discovery order
-//! and must be materialized sequentially for reproducible tables; on-the-fly
-//! *search verdicts* are deterministic for every implementation regardless,
-//! because traversal order never depends on label-id values.
+//! Traversal is sequential and follows each system's canonical derivation
+//! order, so materialization and on-the-fly searches are reproducible for
+//! every implementation. Systems that intern labels lazily (the `pa`
+//! explorer's term-level system, [`RenameView`]) assign label ids in
+//! discovery order.
 
 use crate::label::{gate_of, LabelId, LabelTable};
 use crate::lts::{Lts, StateId};
@@ -29,8 +25,7 @@ use std::sync::Mutex;
 /// A transition system given by its successor function.
 ///
 /// States are opaque hashable values; transitions carry ids from the
-/// system's [`LabelTable`]. See the [module docs](self) for the
-/// determinism contract.
+/// system's [`LabelTable`]. See the [module docs](self) on determinism.
 pub trait TransitionSystem: Sync {
     /// The state representation (a dense id, a tuple of component states,
     /// a process-algebra term, ...).
@@ -242,9 +237,8 @@ impl TransitionSystem for LazyProduct<'_> {
 /// [`HideView::all_but`], *not* in) the gate set appear as τ.
 ///
 /// Label ids and the label table pass through unchanged — hidden labels
-/// are merely *reported* as τ — so the view inherits the inner system's
-/// determinism guarantees. The hidden/visible decision per label id is
-/// memoized.
+/// are merely *reported* as τ. The hidden/visible decision per label id
+/// is memoized.
 pub struct HideView<'a, T: TransitionSystem> {
     inner: &'a T,
     gates: HashSet<String>,
@@ -322,9 +316,8 @@ impl<T: TransitionSystem> TransitionSystem for HideView<'_, T> {
 /// as `H !1`; offers are preserved.
 ///
 /// Renaming changes label spellings, so the view owns a fresh
-/// [`LabelTable`] and interns renamed labels in discovery order — like the
-/// `pa` explorer, it is a lazily-interning system and must be materialized
-/// sequentially for a reproducible table (see the [module docs](self)).
+/// [`LabelTable`] and interns renamed labels in discovery order, like the
+/// `pa` explorer (see the [module docs](self)).
 pub struct RenameView<'a, T: TransitionSystem> {
     inner: &'a T,
     map: HashMap<String, String>,

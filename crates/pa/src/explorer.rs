@@ -1,12 +1,10 @@
 //! State-space generation: breadth-first enumeration of the SOS semantics
 //! into an explicit LTS (the CADP `cæsar`/`generator` role).
 //!
-//! Exploration is parallel when [`ExploreOptions::threads`] asks for it,
-//! yet **bit-identical to sequential execution**: workers only compute
-//! transition derivations (the expensive part) level by level, while
-//! state numbering, label interning, and cap enforcement happen in a
-//! sequential merge that walks the frontier in canonical order. See
-//! `DESIGN.md` §6 for the full scheme.
+//! Exploration is sequential: state ids are BFS discovery order, and
+//! the term-indexed and store-backed explorers admit states, transitions
+//! and cap hits in the same order, so their LTSs and abort reports are
+//! byte-identical. See `DESIGN.md` §6.
 
 use crate::pack::pack_term;
 use crate::semantics::{transitions, Label, SemError};
@@ -15,7 +13,6 @@ use crate::term::Term;
 use multival_lts::store::{make_store, StateStore, StoreConfig, StoreStats};
 use multival_lts::{LabelId, Lts, LtsBuilder, StateId};
 use multival_par::fx::FxHashMap;
-use multival_par::{par_map, ShardedIndex, Workers};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -27,10 +24,6 @@ pub struct ExploreOptions {
     pub max_states: usize,
     /// Maximum number of transitions to enumerate before aborting.
     pub max_transitions: usize,
-    /// Worker threads for transition derivation: `1` (the default) is
-    /// strictly sequential, `0` means one per hardware thread. The result
-    /// is identical whatever the value.
-    pub threads: usize,
     /// Wall-clock budget: exploration aborts (keeping partial work) once
     /// this instant passes. `None` (the default) runs unbounded. Unlike the
     /// state caps, where the abort lands depends on machine speed — callers
@@ -40,12 +33,7 @@ pub struct ExploreOptions {
 
 impl Default for ExploreOptions {
     fn default() -> Self {
-        ExploreOptions {
-            max_states: 1_000_000,
-            max_transitions: 8_000_000,
-            threads: 1,
-            deadline: None,
-        }
+        ExploreOptions { max_states: 1_000_000, max_transitions: 8_000_000, deadline: None }
     }
 }
 
@@ -59,9 +47,11 @@ impl ExploreOptions {
         }
     }
 
-    /// Sets the worker-thread count (`0` = one per hardware thread).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Accepts and ignores a worker-thread count: exploration is
+    /// sequential. Kept only so the standalone `perfbench` package, which
+    /// is versioned apart from this crate, still compiles; no code in this
+    /// workspace calls it.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -69,13 +59,6 @@ impl ExploreOptions {
     pub fn with_deadline(mut self, deadline: std::time::Instant) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    fn workers(&self) -> Workers {
-        match self.threads {
-            0 => Workers::auto(),
-            n => Workers::new(n),
-        }
     }
 }
 
@@ -220,23 +203,6 @@ pub fn explore_partial(spec: &Spec, options: &ExploreOptions) -> Exploration {
     explore_term_partial(spec.top().clone(), spec, options)
 }
 
-/// Like [`explore_term`], but retains partial work when exploration
-/// aborts: on a cap hit or semantics error, `explored` holds exactly the
-/// states and transitions admitted before the abort (identical between
-/// sequential and parallel runs).
-pub fn explore_term_partial(
-    initial: Arc<Term>,
-    spec: &Spec,
-    options: &ExploreOptions,
-) -> Exploration {
-    let workers = options.workers();
-    if workers.is_sequential() {
-        explore_sequential(initial, spec, options)
-    } else {
-        explore_parallel(initial, spec, options, workers)
-    }
-}
-
 /// Interned label ids keyed by *semantic* label, so each distinct label
 /// is rendered to its textual form exactly once per exploration instead
 /// of once per transition.
@@ -260,7 +226,7 @@ impl LabelCache {
 }
 
 /// How many dequeued states pass between wall-clock checks in the
-/// sequential loop — keeps `Instant::now` off the per-state hot path.
+/// term-indexed loop — keeps `Instant::now` off the per-state hot path.
 const DEADLINE_STRIDE: usize = 128;
 
 /// Whether the options' wall-clock budget has run out.
@@ -268,7 +234,14 @@ fn past_deadline(options: &ExploreOptions) -> bool {
     options.deadline.is_some_and(|d| std::time::Instant::now() >= d)
 }
 
-fn explore_sequential(initial: Arc<Term>, spec: &Spec, options: &ExploreOptions) -> Exploration {
+/// Like [`explore_term`], but retains partial work when exploration
+/// aborts: on a cap hit or semantics error, `explored` holds exactly the
+/// states and transitions admitted before the abort.
+pub fn explore_term_partial(
+    initial: Arc<Term>,
+    spec: &Spec,
+    options: &ExploreOptions,
+) -> Exploration {
     let mut builder = LtsBuilder::new();
     let mut labels = LabelCache::default();
     let mut index: FxHashMap<Arc<Term>, StateId> = FxHashMap::default();
@@ -331,130 +304,6 @@ fn explore_sequential(initial: Arc<Term>, spec: &Spec, options: &ExploreOptions)
     finish(builder, states, None)
 }
 
-/// Outgoing transitions derived from one term: `(label, successor term)`.
-type Outgoing = Vec<(Label, Arc<Term>)>;
-
-/// Per-frontier-state output of a parallel derivation worker.
-struct LevelOut {
-    /// `(label, provisional target id)` in derivation order.
-    succ: Vec<(Label, u32)>,
-    /// Targets whose provisional id this worker allocated.
-    fresh: Vec<(u32, Arc<Term>)>,
-}
-
-/// Sentinel: a provisional id with no canonical number assigned yet.
-const NO_CANON: StateId = StateId::MAX;
-
-fn explore_parallel(
-    initial: Arc<Term>,
-    spec: &Spec,
-    options: &ExploreOptions,
-    workers: Workers,
-) -> Exploration {
-    let mut builder = LtsBuilder::new();
-    let mut labels = LabelCache::default();
-    let index: ShardedIndex<Arc<Term>> = ShardedIndex::new();
-    let mut states: Vec<Arc<Term>> = Vec::new();
-    // Provisional id -> canonical (BFS discovery order) id.
-    let mut prov2canon: Vec<StateId> = Vec::new();
-    let mut ntrans = 0usize;
-
-    let s0 = builder.add_state();
-    let (p0, _) = index.get_or_insert(initial.clone());
-    debug_assert_eq!(p0, 0);
-    prov2canon.push(s0);
-    states.push(initial);
-
-    let mut frontier: Vec<StateId> = vec![s0];
-    let mut depth = 0usize;
-
-    while !frontier.is_empty() {
-        // Wall-clock budget, checked once per BFS level (the sequential
-        // loop checks every few states; a level is the coarser analogue).
-        if past_deadline(options) {
-            let aborted = ExploreError::Deadline { states: states.len(), transitions: ntrans };
-            return finish(builder, states, Some(aborted));
-        }
-        // Parallel stage: derive successors of every frontier state.
-        // Workers touch only the sharded index; ids they hand out are
-        // provisional (scheduling-dependent) and renumbered below.
-        let results: Vec<Result<LevelOut, ExploreError>> = par_map(workers, &frontier, |_, &s| {
-            let term = &states[s as usize];
-            let outgoing = transitions(term, spec)
-                .map_err(|error| ExploreError::Semantics { error, state: term.to_string() })?;
-            let mut succ = Vec::with_capacity(outgoing.len());
-            let mut fresh = Vec::new();
-            for (label, target) in outgoing {
-                let (prov, was_new) = index.get_or_insert(target.clone());
-                if was_new {
-                    fresh.push((prov, target));
-                }
-                succ.push((label, prov));
-            }
-            Ok(LevelOut { succ, fresh })
-        });
-
-        // Collect the term behind every provisional id allocated this
-        // level: first canonical sight of an id may come from a *different*
-        // frontier state than the one whose worker inserted it.
-        let first_new = prov2canon.len() as u32;
-        let new_count = (index.next_id() - first_new) as usize;
-        let mut fresh_terms: Vec<Option<Arc<Term>>> = vec![None; new_count];
-        for out in results.iter().filter_map(|r| r.as_ref().ok()) {
-            for (prov, term) in &out.fresh {
-                fresh_terms[(prov - first_new) as usize] = Some(term.clone());
-            }
-        }
-        prov2canon.resize(index.next_id() as usize, NO_CANON);
-
-        // Sequential merge in frontier order: canonical numbering, label
-        // interning, cap checks, and transition emission — byte-for-byte
-        // the order the sequential loop would produce.
-        let mut next_frontier: Vec<StateId> = Vec::new();
-        for (i, result) in results.into_iter().enumerate() {
-            let src = frontier[i];
-            let out = match result {
-                Ok(out) => out,
-                Err(aborted) => return finish(builder, states, Some(aborted)),
-            };
-            for (label, prov) in out.succ {
-                let mut dst = prov2canon[prov as usize];
-                if dst == NO_CANON {
-                    if states.len() >= options.max_states {
-                        let aborted = ExploreError::Explosion {
-                            states: states.len(),
-                            transitions: ntrans,
-                            depth,
-                        };
-                        return finish(builder, states, Some(aborted));
-                    }
-                    dst = builder.add_state();
-                    prov2canon[prov as usize] = dst;
-                    let term = fresh_terms[(prov - first_new) as usize]
-                        .clone()
-                        .expect("every provisional id has a registered term");
-                    states.push(term);
-                    next_frontier.push(dst);
-                }
-                if ntrans >= options.max_transitions {
-                    let aborted = ExploreError::Explosion {
-                        states: states.len(),
-                        transitions: ntrans,
-                        depth,
-                    };
-                    return finish(builder, states, Some(aborted));
-                }
-                ntrans += 1;
-                let lid = labels.id(&mut builder, label);
-                builder.add_transition_id(src, lid, dst);
-            }
-        }
-        frontier = next_frontier;
-        depth += 1;
-    }
-    finish(builder, states, None)
-}
-
 fn finish(
     builder: LtsBuilder,
     states: Vec<Arc<Term>>,
@@ -488,7 +337,7 @@ pub struct StoreExploration {
 /// without retaining a term per state.
 ///
 /// The LTS — state numbering, label table, transitions — is byte-identical
-/// to [`explore`]'s at any backend and worker count.
+/// to [`explore`]'s at any backend.
 ///
 /// # Errors
 ///
@@ -520,15 +369,14 @@ pub fn explore_term_store(
 }
 
 /// Like [`explore_term_store`], but retains partial work when exploration
-/// aborts. The wall-clock budget is checked once per BFS level (as in the
-/// parallel path), so deadline aborts land on level boundaries.
+/// aborts. The wall-clock budget is checked once per BFS level, so
+/// deadline aborts land on level boundaries.
 pub fn explore_term_store_partial(
     initial: Arc<Term>,
     spec: &Spec,
     options: &ExploreOptions,
     config: &StoreConfig,
 ) -> StoreExploration {
-    let workers = options.workers();
     let mut store = make_store(config);
     let mut builder = LtsBuilder::new();
     let mut labels = LabelCache::default();
@@ -552,21 +400,18 @@ pub fn explore_term_store_partial(
             let aborted = ExploreError::Deadline { states: nstates, transitions: ntrans };
             return store_finish(builder, store, Some(aborted));
         }
-        // Parallel stage: derive successor terms of every frontier state.
-        let results: Vec<Result<Outgoing, ExploreError>> =
-            par_map(workers, &frontier, |_, term| {
-                transitions(term, spec)
-                    .map_err(|error| ExploreError::Semantics { error, state: term.to_string() })
-            });
-        // Sequential merge in frontier order: packing, dedup, numbering,
-        // label interning, and cap checks — the same admission order as
-        // the sequential loop, hence identical ids and abort reports.
+        // Frontier order is discovery order, so packing, dedup, numbering,
+        // label interning and cap checks admit work exactly as the
+        // term-indexed loop does: identical ids and abort reports.
         let mut next: Vec<Arc<Term>> = Vec::new();
-        for (i, result) in results.into_iter().enumerate() {
+        for (i, term) in frontier.iter().enumerate() {
             let src = (level_base + i) as StateId;
-            let outgoing = match result {
+            let outgoing = match transitions(term, spec) {
                 Ok(o) => o,
-                Err(aborted) => return store_finish(builder, store, Some(aborted)),
+                Err(error) => {
+                    let aborted = ExploreError::Semantics { error, state: term.to_string() };
+                    return store_finish(builder, store, Some(aborted));
+                }
             };
             for (label, target) in outgoing {
                 buf.clear();
@@ -666,8 +511,8 @@ mod tests {
         s
     }
 
-    /// Three interleaved counters: 5³ = 125 states, a frontier wide enough
-    /// to exercise the parallel merge across several levels.
+    /// Three interleaved counters: 5³ = 125 states over several wide BFS
+    /// levels.
     fn triple_counter_top() -> (Spec, Arc<Term>) {
         let s = counter_spec(4);
         let call = |u: &str, d: &str| {
@@ -773,71 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exploration_is_bit_identical() {
-        let (s, top) = triple_counter_top();
-        let seq = explore_term(top.clone(), &s, &ExploreOptions::default()).expect("seq");
-        for threads in [2, 4, 8] {
-            let opts = ExploreOptions::default().with_threads(threads);
-            let par = explore_term(top.clone(), &s, &opts).expect("par");
-            assert_eq!(par.states, seq.states, "state numbering at {threads} threads");
-            assert_eq!(
-                write_aut(&par.lts),
-                write_aut(&seq.lts),
-                "transition listing at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_explosion_matches_sequential_partial_work() {
-        let (s, top) = triple_counter_top();
-        let opts =
-            ExploreOptions { max_states: 60, max_transitions: 480, ..ExploreOptions::default() };
-        let seq = explore_term_partial(top.clone(), &s, &opts);
-        let par = explore_term_partial(top, &s, &opts.clone().with_threads(4));
-        assert_eq!(seq.aborted, par.aborted, "identical abort report");
-        assert!(seq.aborted.is_some(), "cap must trigger");
-        assert_eq!(seq.explored.states, par.explored.states);
-        assert_eq!(write_aut(&seq.explored.lts), write_aut(&par.explored.lts));
-    }
-
-    #[test]
-    fn parallel_semantic_error_matches_sequential() {
-        // A guard that errors only after a few steps: `down` below zero is
-        // fine, but an unbound variable appears at n = 3.
-        let mut s = Spec::new();
-        s.add_process(ProcDef {
-            name: sym("Bad"),
-            gates: vec![sym("g")],
-            params: vec![(sym("n"), Type::Int(0, 10))],
-            body: Term::Choice(
-                Term::Prefix(
-                    Action::bare("g"),
-                    Term::Call(
-                        sym("Bad"),
-                        vec![sym("g")],
-                        vec![Expr::bin(BinOp::Add, Expr::var("n"), Expr::int(1))],
-                    )
-                    .rc(),
-                )
-                .rc(),
-                Term::Guard(
-                    Expr::bin(BinOp::Lt, Expr::int(2), Expr::var("n")),
-                    Term::Exit(vec![Expr::var("ghost")]).rc(),
-                )
-                .rc(),
-            )
-            .rc(),
-        });
-        s.set_top(Term::Call(sym("Bad"), vec![sym("g")], vec![Expr::int(0)]).rc());
-        let seq = explore_partial(&s, &ExploreOptions::default());
-        let par = explore_partial(&s, &ExploreOptions::default().with_threads(4));
-        assert!(matches!(seq.aborted, Some(ExploreError::Semantics { .. })));
-        assert_eq!(seq.aborted, par.aborted);
-        assert_eq!(seq.explored.states, par.explored.states);
-    }
-
-    #[test]
     fn store_backed_exploration_is_backend_and_thread_invariant() {
         use multival_lts::store::StoreKind;
         let (s, top) = triple_counter_top();
@@ -846,11 +626,9 @@ mod tests {
             // A 1-byte budget forces the spill backend to page on every
             // sealed segment.
             let config = StoreConfig { kind, mem_budget: Some(1) };
-            for threads in [1, 4] {
-                let opts = ExploreOptions::default().with_threads(threads);
-                let lts = explore_term_store(top.clone(), &s, &opts, &config).expect("store run");
-                assert_eq!(write_aut(&lts), write_aut(&base.lts), "{kind:?} at {threads} threads");
-            }
+            let lts = explore_term_store(top.clone(), &s, &ExploreOptions::default(), &config)
+                .expect("store run");
+            assert_eq!(write_aut(&lts), write_aut(&base.lts), "{kind:?}");
         }
     }
 

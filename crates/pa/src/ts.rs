@@ -2,10 +2,8 @@
 //! specification's behaviour can be explored, composed with observers, and
 //! model-checked on the fly, without ever materializing its LTS.
 //!
-//! [`PaTs`] interns labels *lazily* — the label table grows as new actions
-//! are derived — so it sits on the sequential side of the determinism
-//! contract (see `multival_lts::ts`): materialize it with
-//! `Workers::sequential()`. Search verdicts are unaffected.
+//! [`PaTs`] interns labels *lazily*: the label table grows as new actions
+//! are derived, in discovery order (see `multival_lts::ts`).
 //!
 //! Semantic errors (undefined process, unguarded recursion, …) cannot be
 //! surfaced through the infallible successor signature; they are parked in

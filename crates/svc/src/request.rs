@@ -14,11 +14,10 @@
 //! response body — the property the content-addressed cache rests on.
 
 use crate::json::{parse, Json};
-use multival::budget::Budget;
+use multival::budget::{read_aut_capped, Budget};
 use multival::flow::Flow;
 use multival::imc::NondetPolicy;
 use multival_ctmc::McOptions;
-use multival_lts::io::read_aut;
 use multival_lts::minimize::Equivalence;
 use multival_lts::pipeline::{run_pipeline, Order, PipelineOptions};
 use multival_lts::store::{StoreConfig, StoreKind};
@@ -568,7 +567,7 @@ impl JobRequest {
     fn load_model(&self) -> Result<Lts, String> {
         match &self.model {
             ModelSource::Builtin(name) => builtin_lts(name),
-            ModelSource::Aut(text) => read_aut(text).map_err(|e| e.to_string()),
+            ModelSource::Aut(text) => read_aut_capped(text, self.budget.max_states_or(1_000_000)),
             ModelSource::Source(text) => {
                 let spec = parse_spec(text).map_err(|e| e.to_string())?;
                 let mut options =
@@ -593,7 +592,7 @@ impl JobRequest {
     /// budgets; errors are never cached.
     pub fn evaluate(&self, workers: Workers) -> Result<Json, String> {
         if self.kind == Kind::Reduce {
-            return self.evaluate_reduce(workers);
+            return self.evaluate_reduce();
         }
         if self.kind == Kind::Sweep {
             return self.evaluate_sweep();
@@ -741,8 +740,8 @@ impl JobRequest {
     ///
     /// A tripped budget is an error (never cached); everything else is
     /// deterministic — the canonical reduced LTS and the stage accounting
-    /// are byte-identical across worker counts and order seeds.
-    fn evaluate_reduce(&self, workers: Workers) -> Result<Json, String> {
+    /// are byte-identical across order seeds and store backends.
+    fn evaluate_reduce(&self) -> Result<Json, String> {
         let ModelSource::Source(text) = &self.model else {
             unreachable!("validated at parse: reduce needs a source model")
         };
@@ -752,7 +751,6 @@ impl JobRequest {
         let options = PipelineOptions {
             equivalence: self.eq,
             order: self.order,
-            workers,
             max_states: self.budget.max_states,
             deadline: self.budget.deadline(),
             checkpoint_dir: None,

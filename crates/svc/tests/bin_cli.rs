@@ -164,6 +164,18 @@ fn budget_flags_yield_exit_code_3() {
     assert!(stdout.contains("states: 1681"), "{stdout}");
 }
 
+/// A 2-line `.aut` declaring two billion states is refused against the
+/// state budget before anything is allocated: a clean nonzero exit, not
+/// an allocation abort (exit 134).
+#[test]
+fn hostile_aut_header_exits_cleanly() {
+    let path = write_model("hostile.aut", "des (0, 1, 2000000000)\n(0, \"a\", 0)\n");
+    let (_, stderr, code) = multival_code(&["explore", &path]);
+    let code = code.expect("exits with a code, not a signal");
+    assert!(code != 0 && code != 134, "exit {code}: {stderr}");
+    assert!(stderr.contains("Budget exceeded"), "{stderr}");
+}
+
 #[test]
 fn simulate_exits_2_when_stopping_rule_unmet() {
     let model = write_model(

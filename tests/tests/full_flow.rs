@@ -1,7 +1,7 @@
 //! Integration: the complete §2–§4 flow on one model, cross-checked
 //! numerically against Monte-Carlo simulation.
 
-use multival::ctmc::simulate::Simulator;
+use multival::ctmc::{McOptions, McSim};
 use multival::flow::Flow;
 use multival::imc::NondetPolicy;
 use multival::lts::minimize::Equivalence;
@@ -47,8 +47,11 @@ fn numeric_flow_matches_simulation() {
     rates.insert("release".to_owned(), 2.0);
     let solved = flow.with_rates(&rates).solve(NondetPolicy::Reject, &[]).expect("solves");
     let pi = solved.steady_state().expect("steady");
-    let est = Simulator::new(solved.ctmc(), 2024).occupancy(50_000.0);
-    for (s, (&exact, &sim)) in pi.iter().zip(&est.occupancy).enumerate() {
+    // 64 trajectories of 1,000 time units each, from a fixed seed.
+    let opts = McOptions { seed: 2024, batch: 64, max_trajectories: 64, ..McOptions::default() };
+    let est = McSim::new(solved.ctmc()).occupancy(1_000.0, &opts);
+    for (s, (&exact, sim)) in pi.iter().zip(&est.estimates).enumerate() {
+        let sim = sim.mean;
         assert!((exact - sim).abs() < 0.02, "state {s}: exact {exact} vs simulated {sim}");
     }
 }

@@ -1,13 +1,13 @@
 //! Cross-crate tests of the on-the-fly layer: the lazy product must be
-//! byte-identical to eager composition at any worker count, and the
+//! byte-identical to eager composition with any state store, and the
 //! short-circuiting searches must reach the same verdicts as the eager
 //! flow while materializing strictly less.
 
 use multival::lts::io::write_aut;
 use multival::lts::ops::{compose, compose_all, Sync};
-use multival::lts::reach::{deadlock_search, materialize, materialize_with, ReachOptions};
+use multival::lts::reach::{deadlock_search, materialize, materialize_store, ReachOptions};
 use multival::lts::ts::LazyProduct;
-use multival::lts::{Lts, LtsBuilder, Workers};
+use multival::lts::{make_store, Lts, LtsBuilder, StoreConfig, StoreKind};
 use multival::mcl::{check_on_the_fly, patterns};
 use multival::models::rings::{full_product_states, ring_parts, ring_sync};
 use multival::models::xstream::queue;
@@ -54,10 +54,9 @@ proptest! {
         let refs: Vec<&Lts> = parts.iter().collect();
         let eager = compose_all(&refs, &sync);
         let lazy = LazyProduct::new(&refs, &sync);
-        let seq = materialize_with(&lazy, Workers::sequential());
-        let par = materialize_with(&lazy, Workers::new(4));
-        prop_assert_eq!(write_aut(&seq), write_aut(&eager), "sequential materialization");
-        prop_assert_eq!(write_aut(&par), write_aut(&eager), "4-thread materialization");
+        let mut store = make_store(&StoreConfig::of(StoreKind::Arena));
+        let packed = materialize_store(&lazy, store.as_mut());
+        prop_assert_eq!(write_aut(&packed), write_aut(&eager), "arena-store materialization");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Differential harness for the compositional reduction pipeline: on
 //! random component networks, `run_pipeline` must produce the *byte-same*
 //! canonical LTS as the monolithic reference — for every composition-order
-//! policy, worker count, and with or without checkpoint/resume — and that
+//! policy, and with or without checkpoint/resume — and that
 //! LTS must be bisimilar to the monolithic product under the chosen
 //! equivalence (an independent check through the equivalence engine, not
 //! the canonicalizer).
@@ -65,20 +65,16 @@ fn check_differential(net: &Network, eq: Equivalence, seed: u64) -> Result<(), T
     let reference = write_aut(&mono.lts);
     let mut smart_run = None;
     for order in [Order::Given, Order::Smart, Order::Seeded(seed)] {
-        for workers in [Workers::sequential(), Workers::new(4)] {
-            let options =
-                PipelineOptions { equivalence: eq, order, workers, ..PipelineOptions::default() };
-            let run = run_pipeline(net, &options);
-            prop_assert!(run.complete(), "unbudgeted run must complete ({order})");
-            prop_assert_eq!(
-                write_aut(&run.lts),
-                reference.clone(),
-                "order {} with {} worker(s) diverged from the monolithic reference",
-                order,
-                workers.get()
-            );
-            smart_run = Some(run);
-        }
+        let options = PipelineOptions { equivalence: eq, order, ..PipelineOptions::default() };
+        let run = run_pipeline(net, &options);
+        prop_assert!(run.complete(), "unbudgeted run must complete ({order})");
+        prop_assert_eq!(
+            write_aut(&run.lts),
+            reference.clone(),
+            "order {} diverged from the monolithic reference",
+            order
+        );
+        smart_run = Some(run);
     }
     // Independent semantic check, through the equivalence engine rather
     // than the canonicalizer both sides share.

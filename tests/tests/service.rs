@@ -276,6 +276,25 @@ fn error_paths_map_to_http_statuses() {
     let _ = handle.shutdown_and_drain();
 }
 
+/// A 2-line `.aut` whose header declares two billion states must fail its
+/// job against the state budget before anything is allocated for it, and
+/// leave the server answering.
+#[test]
+fn hostile_aut_header_fails_the_job_and_the_server_stays_up() {
+    let handle = serve(&config()).expect("server starts");
+    let addr = handle.addr();
+    let body = run_job(
+        addr,
+        r#"{"kind":"explore","model":{"aut":"des (0, 1, 2000000000)\n(0, \"a\", 0)\n"}}"#,
+    );
+    assert!(body.contains("\"status\":\"failed\""), "{body}");
+    assert!(body.contains("Budget exceeded"), "{body}");
+    let (status, health) = http(addr, "GET", "/v1/healthz", "");
+    assert_eq!(status, 200, "{health}");
+    assert!(health.contains("\"status\":\"ok\""), "{health}");
+    let _ = handle.shutdown_and_drain();
+}
+
 #[test]
 fn shutdown_drains_accepted_jobs() {
     let handle = serve(&ServerConfig { workers: 1, ..config() }).expect("server starts");

@@ -2,11 +2,10 @@
 //! exploration backends and the compact binary BLTS format.
 //!
 //! The store-backed explorer promises *byte-identical* canonical LTSs —
-//! same state numbering, same transition order — whatever backend holds
-//! the dedup table and however many worker threads derive successors.
-//! These tests pin that promise on models from the paper's three case
-//! studies, and pin the BLTS codec against the Aldebaran text format on
-//! random LTSs.
+//! same state numbering, same transition order, same abort report —
+//! whatever backend holds the dedup table. These tests pin that promise on
+//! models from the paper's three case studies and on random specs, and pin
+//! the BLTS codec against the Aldebaran text format on random LTSs.
 
 use multival::lts::io::{read_aut, read_blts, write_aut, write_blts};
 use multival::lts::store::{StoreConfig, StoreKind};
@@ -15,7 +14,10 @@ use multival::models::fame2::network::ping_pong_source;
 use multival::models::faust::mesh::complement_source_n;
 use multival::models::faust::noc::single_packet_source;
 use multival::models::xstream::pipeline::library;
-use multival::pa::{explore, explore_term_store, parse_behaviour, parse_spec, ExploreOptions};
+use multival::pa::{
+    explore, explore_partial, explore_term_store, explore_term_store_partial, parse_behaviour,
+    parse_spec, ExploreOptions,
+};
 use proptest::prelude::*;
 
 /// An xSTream-style flat pipeline assembled from the component library:
@@ -40,31 +42,103 @@ fn case_studies() -> Vec<(&'static str, multival::pa::Spec)> {
     ]
 }
 
-/// Every backend × worker count × (tight or absent) memory budget yields
-/// the byte-identical canonical LTS the classic explorer produces.
+/// Every backend × (tight or absent) memory budget yields the
+/// byte-identical canonical LTS the classic explorer produces.
 #[test]
 fn backends_and_workers_agree_on_case_study_models() {
     for (name, spec) in case_studies() {
         let baseline =
             write_aut(&explore(&spec, &ExploreOptions::default()).expect("explores").lts);
         for kind in StoreKind::ALL {
-            for threads in [1usize, 4] {
-                // A 1-byte budget forces the spill backend to page on
-                // every segment; the others ignore it.
-                for mem_budget in [None, Some(1)] {
-                    let options = ExploreOptions::default().with_threads(threads);
-                    let config = StoreConfig { kind, mem_budget };
-                    let lts = explore_term_store(spec.top().clone(), &spec, &options, &config)
-                        .expect("explores");
-                    assert_eq!(
-                        baseline,
-                        write_aut(&lts),
-                        "{name}: {kind:?} × {threads} threads × budget {mem_budget:?} \
-                         must match the classic explorer byte for byte"
-                    );
-                }
+            // A 1-byte budget forces the spill backend to page on every
+            // segment; the others ignore it.
+            for mem_budget in [None, Some(1)] {
+                let config = StoreConfig { kind, mem_budget };
+                let lts = explore_term_store(
+                    spec.top().clone(),
+                    &spec,
+                    &ExploreOptions::default(),
+                    &config,
+                )
+                .expect("explores");
+                assert_eq!(
+                    baseline,
+                    write_aut(&lts),
+                    "{name}: {kind:?} × budget {mem_budget:?} \
+                     must match the classic explorer byte for byte"
+                );
             }
         }
+    }
+}
+
+/// Decodes a byte genome into a closed mini-LOTOS behaviour. Every genome
+/// decodes to a valid, finite spec, so the strategy never needs rejection
+/// sampling; the decoder consumes bytes left to right and bottoms out on
+/// `stop` when the budget runs dry.
+fn decode_term(bytes: &mut std::slice::Iter<'_, u8>, depth: usize) -> String {
+    let gates = ["a", "b", "c"];
+    let Some(&op) = bytes.next() else {
+        return "stop".to_owned();
+    };
+    let gate = gates[(op / 8) as usize % 3];
+    if depth == 0 {
+        return format!("{gate}; stop");
+    }
+    match op % 6 {
+        0 | 1 => format!("{gate}; {}", decode_term(bytes, depth - 1)),
+        2 => format!("({} [] {})", decode_term(bytes, depth - 1), decode_term(bytes, depth - 1)),
+        3 => format!("({} ||| {})", decode_term(bytes, depth - 1), decode_term(bytes, depth - 1)),
+        4 => format!(
+            "({} |[{gate}]| {})",
+            decode_term(bytes, depth - 1),
+            decode_term(bytes, depth - 1)
+        ),
+        // A data-carrying cyclic process: exercises guards, arithmetic,
+        // and value-dependent labels.
+        _ => format!("Cnt[{gate}, {}](0)", gates[(op / 8 + 1) as usize % 3]),
+    }
+}
+
+fn decode_spec(genome: &[u8]) -> String {
+    let mut bytes = genome.iter();
+    format!(
+        "process Cnt[up, down](n: int 0..5) :=
+             [n < 5] -> up; Cnt[up, down](n + 1)
+          [] [n > 0] -> down; Cnt[up, down](n - 1)
+         endproc
+         behaviour {}",
+        decode_term(&mut bytes, 3)
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random specs explored through the term index and through the arena
+    /// store give byte-identical `.aut` and the same abort report.
+    #[test]
+    fn arena_exploration_matches_the_term_index_on_random_specs(
+        genome in prop::collection::vec(0u8..255, 1..24)
+    ) {
+        let src = decode_spec(&genome);
+        let spec = parse_spec(&src).expect("decoder only emits valid specs");
+        // Cap low enough to keep runtime sane; a hit must abort both runs
+        // identically, so capped cases still assert something useful.
+        let options = ExploreOptions::with_max_states(4_000);
+        let config = StoreConfig { kind: StoreKind::Arena, mem_budget: None };
+        let indexed = explore_partial(&spec, &options);
+        let stored = explore_term_store_partial(spec.top().clone(), &spec, &options, &config);
+        prop_assert_eq!(
+            indexed.aborted.as_ref().map(ToString::to_string),
+            stored.aborted.as_ref().map(ToString::to_string),
+            "abort outcome diverged on {}", src
+        );
+        prop_assert_eq!(
+            write_aut(&indexed.explored.lts),
+            write_aut(&stored.lts),
+            "LTS diverged on {}", src
+        );
     }
 }
 

@@ -13,7 +13,6 @@ use multival::lts::io::write_aut;
 use multival::lts::minimize::Equivalence;
 use multival::lts::pipeline::{canonicalize, run_pipeline, PipelineOptions};
 use multival::lts::store::{StoreConfig, StoreKind};
-use multival::lts::Workers;
 use multival::models::xmas::{compile_network, generate, render_lot, GenConfig, RenderOptions};
 use multival::pa::{extract_network, parse_spec, ExploreOptions};
 use proptest::prelude::*;
@@ -105,7 +104,7 @@ fn fixture_files_round_trip_through_the_frontend() {
 }
 
 /// Same seed → byte-identical topology and canonical LTS regardless of
-/// worker count or state-store backend.
+/// state-store backend.
 #[test]
 fn generation_and_reduction_are_deterministic() {
     let cfg = GenConfig::default();
@@ -121,22 +120,19 @@ fn generation_and_reduction_are_deterministic() {
 
         let net = compile_network(&fab).expect("compiles");
         let mut results = Vec::new();
-        for workers in [Workers::new(1), Workers::new(4)] {
-            for kind in StoreKind::ALL {
-                let options = PipelineOptions {
-                    equivalence: Equivalence::Branching,
-                    workers,
-                    store: StoreConfig::of(kind),
-                    ..PipelineOptions::default()
-                };
-                let run = run_pipeline(&net, &options);
-                assert!(run.complete());
-                results.push(write_aut(&canonicalize(&run.lts)));
-            }
+        for kind in StoreKind::ALL {
+            let options = PipelineOptions {
+                equivalence: Equivalence::Branching,
+                store: StoreConfig::of(kind),
+                ..PipelineOptions::default()
+            };
+            let run = run_pipeline(&net, &options);
+            assert!(run.complete());
+            results.push(write_aut(&canonicalize(&run.lts)));
         }
         assert!(
             results.windows(2).all(|w| w[0] == w[1]),
-            "seed {seed}: canonical LTS must not depend on threads or store backend"
+            "seed {seed}: canonical LTS must not depend on the store backend"
         );
     }
 }
