@@ -371,10 +371,12 @@ fn full_mode() -> bool {
 /// bit-complement mesh per dedup backend. All three must agree on the
 /// state/transition counts (the differential suite separately pins byte
 /// equality); the spill row runs under a stated memory budget tight
-/// enough to page key segments to disk.
+/// enough to page key segments to disk. Keys are packed leaf-id vectors,
+/// one byte per component here (65 on the 4×4 mesh, ~30 MiB in all;
+/// 34 on the 3×3, ~52 KiB), so the budgets sit below those totals.
 fn state_store_section(full: bool) -> Result<String, Box<dyn Error>> {
     let (model, n, k, budget) =
-        if full { ("mesh_4x4", 4, 3, 256usize << 20) } else { ("mesh_3x3", 3, 2, 1 << 20) };
+        if full { ("mesh_4x4", 4, 3, 16usize << 20) } else { ("mesh_3x3", 3, 2, 16 << 10) };
     let spec = complement_spec_n(n, Some(k))?;
     let opts = ExploreOptions {
         max_states: 2_000_000,

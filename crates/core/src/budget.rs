@@ -8,7 +8,7 @@
 //! user-facing bundle that turns `--timeout-secs`/`--max-states` flags (or
 //! JSON job fields) into those knobs at the moment the work starts.
 
-use multival_lts::io::{read_aut, read_aut_header};
+use multival_lts::io::{read_aut, read_aut_header, read_blts, BltsReader};
 use multival_lts::Lts;
 use std::time::{Duration, Instant};
 
@@ -88,6 +88,26 @@ pub fn read_aut_capped(text: &str, max_states: usize) -> Result<Lts, String> {
     read_aut(text).map_err(|e| e.to_string())
 }
 
+/// Decodes a BLTS buffer whose header declares at most `max_states`
+/// states. The header is checked before any chunk is decoded, so a
+/// crafted 4-billion-state header is a `Budget exceeded` error rather
+/// than a multi-gigabyte allocation.
+///
+/// # Errors
+///
+/// Returns the decode error, or `Budget exceeded: …` when the declared
+/// state count is over `max_states`.
+pub fn read_blts_capped(bytes: &[u8], max_states: usize) -> Result<Lts, String> {
+    let declared = BltsReader::new(bytes).map_err(|e| e.to_string())?.num_states;
+    if declared as usize > max_states {
+        return Err(format!(
+            "Budget exceeded: the .blts header declares {declared} states, \
+             over the cap of {max_states}"
+        ));
+    }
+    read_blts(bytes).map_err(|e| e.to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,6 +118,18 @@ mod tests {
         let err = read_aut_capped(hostile, 1_000_000).expect_err("over the cap");
         assert!(err.starts_with("Budget exceeded"), "{err}");
         let lts = read_aut_capped("des (0, 1, 2)\n(0, \"a\", 1)\n", 2).expect("at the cap");
+        assert_eq!(lts.num_states(), 2);
+    }
+
+    #[test]
+    fn blts_header_over_the_cap_is_refused_before_decoding() {
+        let mut b = multival_lts::LtsBuilder::new();
+        let (s0, s1) = (b.add_state(), b.add_state());
+        b.add_transition(s0, "a", s1);
+        let bytes = multival_lts::io::write_blts(&b.build(0));
+        let err = read_blts_capped(&bytes, 1).expect_err("over the cap");
+        assert!(err.starts_with("Budget exceeded"), "{err}");
+        let lts = read_blts_capped(&bytes, 2).expect("at the cap");
         assert_eq!(lts.num_states(), 2);
     }
 

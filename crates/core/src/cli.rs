@@ -3,7 +3,7 @@
 //!
 //! The logic lives here (testable); `src/bin/multival.rs` is a thin wrapper.
 
-use crate::budget::{read_aut_capped, Budget};
+use crate::budget::{read_aut_capped, read_blts_capped, Budget};
 use crate::flow::{BoundsSolved, Flow, Interval, Solved};
 use crate::report::{
     fmt_f, BoundsReport, BoundsRow, BoundsVerdict, FlyStats, ReduceStageRow, ReduceStats, SimStats,
@@ -14,7 +14,7 @@ use multival_imc::to_ctmc::NondetPolicy;
 use multival_lts::equiv::{
     compare_determinized, determinize_ts, equivalent, weak_trace_equivalent, Determinized, Verdict,
 };
-use multival_lts::io::{read_blts, write_aut, write_blts, write_dot};
+use multival_lts::io::{write_aut, write_blts, write_dot};
 use multival_lts::minimize::{minimize, Equivalence};
 use multival_lts::reach::ReachOptions;
 use multival_lts::Lts;
@@ -1342,17 +1342,17 @@ fn is_lts_file(path: &str) -> bool {
 }
 
 /// Loads a `.blts` file (binary, so outside the `read_to_string` path).
-fn load_blts(path: &str) -> Result<Lts, Box<dyn Error>> {
+fn load_blts(path: &str, max_states: usize) -> Result<Lts, Box<dyn Error>> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    Ok(read_blts(&bytes)?)
+    Ok(read_blts_capped(&bytes, max_states)?)
 }
 
-/// Loads an input: `.aut`/`.blts` files are parsed as LTSs (a `.aut`
-/// header declaring more states than the cap is refused), everything else
+/// Loads an input: `.aut`/`.blts` files are parsed as LTSs (a header
+/// declaring more states than the cap is refused), everything else
 /// as mini-LOTOS (explored with the given cap).
 fn load(path: &str, max_states: usize) -> Result<Lts, Box<dyn Error>> {
     if path.ends_with(".blts") {
-        return load_blts(path);
+        return load_blts(path, max_states);
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     if path.ends_with(".aut") {
@@ -1363,8 +1363,8 @@ fn load(path: &str, max_states: usize) -> Result<Lts, Box<dyn Error>> {
     }
 }
 
-/// Budget-aware [`load`]: a `.aut` input is already materialized and loads
-/// fully if its declared state count fits the cap; a mini-LOTOS source is
+/// Budget-aware [`load`]: a `.aut`/`.blts` input is already materialized
+/// and loads fully if its declared state count fits the cap; a mini-LOTOS source is
 /// explored under the budget, and a tripped budget comes back as
 /// `Ok(Err((partial_lts, reason)))` so callers can report partial results.
 #[allow(clippy::type_complexity)]
@@ -1372,11 +1372,11 @@ fn load_budgeted(
     path: &str,
     budget: &Budget,
 ) -> Result<Result<Lts, (Lts, ExploreError)>, Box<dyn Error>> {
+    let max_states = budget.max_states_or(1_000_000);
     if path.ends_with(".blts") {
-        return Ok(Ok(load_blts(path)?));
+        return Ok(Ok(load_blts(path, max_states)?));
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let max_states = budget.max_states_or(1_000_000);
     if path.ends_with(".aut") {
         Ok(Ok(read_aut_capped(&text, max_states)?))
     } else {

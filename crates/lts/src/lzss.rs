@@ -21,6 +21,10 @@ const MIN_MATCH: usize = 4;
 /// Maximum match length encodable in one token.
 const MAX_MATCH: usize = MIN_MATCH + 255;
 
+/// Most output bytes one input byte can decode to: a 3-byte match token
+/// yields at most [`MAX_MATCH`] bytes.
+const MAX_EXPANSION: usize = MAX_MATCH.div_ceil(3);
+
 /// Maximum backward offset (16-bit, zero reserved).
 const MAX_OFFSET: usize = 65_535;
 
@@ -115,8 +119,13 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 
 /// Decompresses exactly `expected_len` bytes, or returns `None` when the
 /// stream is malformed (truncated, bad offset, or wrong decoded length).
-/// Never panics.
+/// Never panics, and never allocates more than the input can decode to:
+/// an `expected_len` beyond [`MAX_EXPANSION`] bytes per input byte is
+/// refused up front.
 pub fn decompress(input: &[u8], expected_len: usize) -> Option<Vec<u8>> {
+    if expected_len > input.len().saturating_mul(MAX_EXPANSION) {
+        return None;
+    }
     let mut out = Vec::with_capacity(expected_len);
     let mut pos = 0;
     while out.len() < expected_len {
@@ -153,6 +162,22 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn declared_length_beyond_the_input_is_refused_without_allocating() {
+        // A 40 GB claim on one input byte would abort the process if the
+        // output were pre-allocated from the declared length.
+        assert_eq!(decompress(&[0], 40_000_000_000), None);
+        // The bound still admits the densest stream: one control byte, a
+        // literal, then seven 259-byte matches at offset 1.
+        let mut stream = vec![0b1111_1110, b'x'];
+        for _ in 0..7 {
+            stream.extend_from_slice(&[1, 0, 255]);
+        }
+        let len = 1 + 7 * MAX_MATCH;
+        assert!(len <= stream.len() * MAX_EXPANSION);
+        assert_eq!(decompress(&stream, len), Some(vec![b'x'; len]));
+    }
 
     fn roundtrip(data: &[u8]) {
         let comp = compress(data);

@@ -231,7 +231,9 @@ const EMPTY: StateId = StateId::MAX;
 
 impl FingerprintTable {
     fn new() -> Self {
-        let cap = 1 << 10;
+        // Small: explorations of single components are often a handful of
+        // states, and growth is cheap since slots keep their hashes.
+        let cap = 1 << 4;
         FingerprintTable { hashes: vec![0; cap], ids: vec![EMPTY; cap], mask: cap - 1 }
     }
 

@@ -1,19 +1,20 @@
 //! State-space generation: breadth-first enumeration of the SOS semantics
 //! into an explicit LTS (the CADP `cæsar`/`generator` role).
 //!
-//! Exploration is sequential: state ids are BFS discovery order, and
-//! the term-indexed and store-backed explorers admit states, transitions
-//! and cap hits in the same order, so their LTSs and abort reports are
-//! byte-identical. See `DESIGN.md` §6.
+//! Exploration is sequential and runs on the compiled successor function
+//! of `crate::compiled`: a state is a vector of sequential-component
+//! states, not a term. State ids are BFS discovery order, and every entry
+//! point — term-keeping or store-backed, at any backend — runs the same
+//! loop, so their LTSs and abort reports are byte-identical to each other
+//! and to a BFS over [`crate::ts::PaTs`]. See `DESIGN.md` §6.
 
-use crate::pack::pack_term;
-use crate::semantics::{transitions, Label, SemError};
+use crate::compiled::Engine;
+use crate::pack::pack;
+use crate::semantics::{Label, SemError};
 use crate::spec::Spec;
 use crate::term::Term;
-use multival_lts::store::{make_store, StateStore, StoreConfig, StoreStats};
+use multival_lts::store::{make_store, ArenaStore, StateStore, StoreConfig, StoreStats};
 use multival_lts::{LabelId, Lts, LtsBuilder, StateId};
-use multival_par::fx::FxHashMap;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -203,30 +204,8 @@ pub fn explore_partial(spec: &Spec, options: &ExploreOptions) -> Exploration {
     explore_term_partial(spec.top().clone(), spec, options)
 }
 
-/// Interned label ids keyed by *semantic* label, so each distinct label
-/// is rendered to its textual form exactly once per exploration instead
-/// of once per transition.
-#[derive(Default)]
-struct LabelCache {
-    // Fx-hashed: looked up once per derived transition.
-    ids: FxHashMap<Label, LabelId>,
-}
-
-impl LabelCache {
-    fn id(&mut self, builder: &mut LtsBuilder, label: Label) -> LabelId {
-        match self.ids.get(&label) {
-            Some(&id) => id,
-            None => {
-                let id = builder.intern(&render_label(&label));
-                self.ids.insert(label, id);
-                id
-            }
-        }
-    }
-}
-
-/// How many dequeued states pass between wall-clock checks in the
-/// term-indexed loop — keeps `Instant::now` off the per-state hot path.
+/// How many expanded states pass between wall-clock checks — keeps
+/// `Instant::now` off the per-state hot path.
 const DEADLINE_STRIDE: usize = 128;
 
 /// Whether the options' wall-clock budget has run out.
@@ -242,83 +221,19 @@ pub fn explore_term_partial(
     spec: &Spec,
     options: &ExploreOptions,
 ) -> Exploration {
-    let mut builder = LtsBuilder::new();
-    let mut labels = LabelCache::default();
-    let mut index: FxHashMap<Arc<Term>, StateId> = FxHashMap::default();
-    let mut states: Vec<Arc<Term>> = Vec::new();
-    let mut queue: VecDeque<(StateId, usize)> = VecDeque::new();
-    let mut ntrans = 0usize;
-    let mut since_check = 0usize;
-
-    let s0 = builder.add_state();
-    index.insert(initial.clone(), s0);
-    states.push(initial);
-    queue.push_back((s0, 0));
-
-    while let Some((s, depth)) = queue.pop_front() {
-        since_check += 1;
-        if since_check >= DEADLINE_STRIDE {
-            since_check = 0;
-            if past_deadline(options) {
-                let aborted = ExploreError::Deadline { states: states.len(), transitions: ntrans };
-                return finish(builder, states, Some(aborted));
-            }
-        }
-        let term = states[s as usize].clone();
-        let outgoing = match transitions(&term, spec) {
-            Ok(o) => o,
-            Err(error) => {
-                let aborted = ExploreError::Semantics { error, state: term.to_string() };
-                return finish(builder, states, Some(aborted));
-            }
-        };
-        for (label, target) in outgoing {
-            let dst = match index.get(&target) {
-                Some(&d) => d,
-                None => {
-                    if states.len() >= options.max_states {
-                        let aborted = ExploreError::Explosion {
-                            states: states.len(),
-                            transitions: ntrans,
-                            depth,
-                        };
-                        return finish(builder, states, Some(aborted));
-                    }
-                    let d = builder.add_state();
-                    index.insert(target.clone(), d);
-                    states.push(target);
-                    queue.push_back((d, depth + 1));
-                    d
-                }
-            };
-            if ntrans >= options.max_transitions {
-                let aborted =
-                    ExploreError::Explosion { states: states.len(), transitions: ntrans, depth };
-                return finish(builder, states, Some(aborted));
-            }
-            ntrans += 1;
-            let lid = labels.id(&mut builder, label);
-            builder.add_transition_id(s, lid, dst);
-        }
-    }
-    finish(builder, states, None)
-}
-
-fn finish(
-    builder: LtsBuilder,
-    states: Vec<Arc<Term>>,
-    aborted: Option<ExploreError>,
-) -> Exploration {
-    Exploration { explored: Explored { lts: builder.build(0), states }, aborted }
+    let mut store = ArenaStore::new();
+    let run = bfs(initial, spec, options, &mut store, true);
+    Exploration { explored: Explored { lts: run.lts, states: run.terms }, aborted: run.aborted }
 }
 
 /// Result of a store-backed exploration: the LTS plus the dedup store's
-/// accounting. Unlike [`Explored`], per-state terms are *not* retained —
-/// only the current BFS frontier's terms stay resident, and the dedup
-/// index holds packed byte keys (see [`crate::pack`]) in the configured
-/// [`StateStore`] backend. This is the
-/// million-state entry point: with [`StoreKind::Spill`], resident memory
-/// is bounded by the budget plus the frontier.
+/// accounting. Unlike [`Explored`], per-state terms are *not* retained:
+/// the dedup index holds each state's packed leaf-id vector (one varint
+/// per sequential component, see `crate::compiled`) in the configured
+/// [`StateStore`] backend, and only the current BFS level's vectors stay
+/// resident besides. This is the million-state entry point: with
+/// [`StoreKind::Spill`], resident memory is bounded by the budget plus
+/// the frontier.
 ///
 /// [`StoreKind::Spill`]: multival_lts::store::StoreKind::Spill
 #[derive(Debug, Clone)]
@@ -369,8 +284,7 @@ pub fn explore_term_store(
 }
 
 /// Like [`explore_term_store`], but retains partial work when exploration
-/// aborts. The wall-clock budget is checked once per BFS level, so
-/// deadline aborts land on level boundaries.
+/// aborts.
 pub fn explore_term_store_partial(
     initial: Arc<Term>,
     spec: &Spec,
@@ -378,79 +292,119 @@ pub fn explore_term_store_partial(
     config: &StoreConfig,
 ) -> StoreExploration {
     let mut store = make_store(config);
+    let run = bfs(initial, spec, options, store.as_mut(), false);
+    StoreExploration { lts: run.lts, store: store.stats(), aborted: run.aborted }
+}
+
+/// What [`bfs`] produced: the LTS, the per-state terms when asked for,
+/// and the abort reason.
+struct Bfs {
+    lts: Lts,
+    terms: Vec<Arc<Term>>,
+    aborted: Option<ExploreError>,
+}
+
+/// The one breadth-first search behind every entry point. States are
+/// compiled leaf-id vectors (`crate::compiled`), deduplicated on their
+/// packed keys in `store`; ids are discovery order. `keep_terms` also
+/// builds the closed term of each state, sharing unchanged subterms with
+/// its BFS parent's.
+///
+/// Successors, labels and cap checks are admitted in exactly the order
+/// the term semantics derives them, so the LTS and any abort report are
+/// those of a BFS over terms.
+fn bfs(
+    initial: Arc<Term>,
+    spec: &Spec,
+    options: &ExploreOptions,
+    store: &mut dyn StateStore,
+    keep_terms: bool,
+) -> Bfs {
+    let (mut engine, init) = Engine::new(&initial, spec);
+    let width = init.len();
     let mut builder = LtsBuilder::new();
-    let mut labels = LabelCache::default();
-    let mut buf: Vec<u8> = Vec::new();
+    // LTS label id per engine label id, interned at first emission.
+    let mut lts_labels: Vec<Option<LabelId>> = Vec::new();
+    let mut key = Vec::new();
+    pack(&init, &mut key);
+    builder.add_state();
+    store.get_or_insert(&key);
+    let mut terms = if keep_terms { vec![initial] } else { Vec::new() };
 
-    pack_term(&initial, &mut buf);
-    let s0 = builder.add_state();
-    let (k0, _) = store.get_or_insert(&buf);
-    debug_assert_eq!(k0, s0);
-
-    // States of the last discovered BFS level, in id order: frontier[i]
-    // denotes state `level_base + i`. Terms live only this long.
-    let mut frontier: Vec<Arc<Term>> = vec![initial];
-    let mut level_base = 0usize;
+    // Vectors of the BFS level being expanded, in id order, and of the
+    // next level as it is discovered.
+    let mut frontier = init;
+    let mut next: Vec<u32> = Vec::new();
+    let mut succ: Vec<u32> = Vec::with_capacity(width);
+    let mut src: StateId = 0;
     let mut nstates = 1usize;
     let mut ntrans = 0usize;
     let mut depth = 0usize;
+    let mut since_check = 0usize;
 
-    while !frontier.is_empty() {
-        if past_deadline(options) {
-            let aborted = ExploreError::Deadline { states: nstates, transitions: ntrans };
-            return store_finish(builder, store, Some(aborted));
+    let aborted = 'search: loop {
+        if frontier.is_empty() {
+            break None;
         }
-        // Frontier order is discovery order, so packing, dedup, numbering,
-        // label interning and cap checks admit work exactly as the
-        // term-indexed loop does: identical ids and abort reports.
-        let mut next: Vec<Arc<Term>> = Vec::new();
-        for (i, term) in frontier.iter().enumerate() {
-            let src = (level_base + i) as StateId;
-            let outgoing = match transitions(term, spec) {
-                Ok(o) => o,
-                Err(error) => {
-                    let aborted = ExploreError::Semantics { error, state: term.to_string() };
-                    return store_finish(builder, store, Some(aborted));
+        for v in frontier.chunks_exact(width) {
+            since_check += 1;
+            if since_check >= DEADLINE_STRIDE {
+                since_check = 0;
+                if past_deadline(options) {
+                    break 'search Some(ExploreError::Deadline {
+                        states: nstates,
+                        transitions: ntrans,
+                    });
                 }
-            };
-            for (label, target) in outgoing {
-                buf.clear();
-                pack_term(&target, &mut buf);
-                let (dst, is_new) = store.get_or_insert(&buf);
+            }
+            if let Err(error) = engine.derive(v) {
+                let term = if keep_terms { terms[src as usize].clone() } else { engine.term(v) };
+                break 'search Some(ExploreError::Semantics { error, state: term.to_string() });
+            }
+            for &m in engine.moves() {
+                engine.apply(m, v, &mut succ);
+                pack(&succ, &mut key);
+                let (dst, is_new) = store.get_or_insert(&key);
                 if is_new {
                     if nstates >= options.max_states {
-                        let aborted =
-                            ExploreError::Explosion { states: nstates, transitions: ntrans, depth };
-                        return store_finish(builder, store, Some(aborted));
+                        break 'search Some(ExploreError::Explosion {
+                            states: nstates,
+                            transitions: ntrans,
+                            depth,
+                        });
                     }
                     let b = builder.add_state();
                     debug_assert_eq!(b, dst);
                     nstates += 1;
-                    next.push(target);
+                    next.extend_from_slice(&succ);
+                    if keep_terms {
+                        let term = engine.rebuild(&terms[src as usize], v, &succ);
+                        terms.push(term);
+                    }
                 }
                 if ntrans >= options.max_transitions {
-                    let aborted =
-                        ExploreError::Explosion { states: nstates, transitions: ntrans, depth };
-                    return store_finish(builder, store, Some(aborted));
+                    break 'search Some(ExploreError::Explosion {
+                        states: nstates,
+                        transitions: ntrans,
+                        depth,
+                    });
                 }
                 ntrans += 1;
-                let lid = labels.id(&mut builder, label);
+                let slot = m.label as usize;
+                if slot >= lts_labels.len() {
+                    lts_labels.resize(slot + 1, None);
+                }
+                let lid = *lts_labels[slot]
+                    .get_or_insert_with(|| builder.intern(&render_label(engine.label(m.label))));
                 builder.add_transition_id(src, lid, dst);
             }
+            src += 1;
         }
-        level_base += frontier.len();
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
         depth += 1;
-    }
-    store_finish(builder, store, None)
-}
-
-fn store_finish(
-    builder: LtsBuilder,
-    store: Box<dyn StateStore>,
-    aborted: Option<ExploreError>,
-) -> StoreExploration {
-    StoreExploration { lts: builder.build(0), store: store.stats(), aborted }
+    };
+    Bfs { lts: builder.build(0), terms, aborted }
 }
 
 /// Renders a semantic label in the LTS textual convention

@@ -31,12 +31,13 @@
 //! # }
 //! ```
 
+mod compiled;
 pub mod explorer;
 pub mod expr;
 pub mod lexer;
 pub mod lint;
 pub mod network;
-pub mod pack;
+mod pack;
 pub mod parser;
 pub mod semantics;
 pub mod spec;
@@ -51,7 +52,6 @@ pub use explorer::{
 };
 pub use lint::{lint, Lint};
 pub use network::{extract_network, NetworkError};
-pub use pack::pack_term;
 pub use parser::{parse_behaviour, parse_spec, ParseError};
 pub use semantics::{transitions, Label, SemError};
 pub use spec::{ProcDef, Spec};

@@ -1,349 +1,119 @@
-//! Injective byte encoding of behaviour terms.
-//!
-//! Store-backed exploration ([`crate::explorer::explore_store`]) dedups
-//! states on *packed byte keys* instead of retaining an `Arc<Term>` per
-//! state in a hash map. This module defines that key: a compact prefix
-//! code over the term AST — one tag byte per constructor, LEB128 varints
-//! for integers (zigzag-folded when signed), and length-prefixed bytes
-//! for symbols and sequences. Because every variable-length component
-//! carries its length up front, no encoding is a prefix of another and
-//! the map `Term → bytes` is injective: equal keys ⇔ equal terms.
+//! Store keys of the compiled explorer: a state's leaf-id vector packed
+//! into bytes.
 
-use crate::expr::{BinOp, Expr, UnOp};
-use crate::term::{Action, Offer, SyncKind, Term};
-use crate::value::{Sym, Type, Value};
-use multival_lts::vbyte::{write_uv, zigzag};
+use multival_lts::vbyte::write_uv;
 
-/// Appends the packed encoding of `term` to `out`.
-///
-/// The buffer is *not* cleared: callers reuse one allocation across many
-/// states and clear it themselves.
-///
-/// # Examples
-///
-/// ```
-/// use multival_pa::pack::pack_term;
-/// use multival_pa::term::Term;
-///
-/// let mut a = Vec::new();
-/// pack_term(&Term::Stop, &mut a);
-/// let mut b = Vec::new();
-/// pack_term(&Term::Exit(vec![]), &mut b);
-/// assert_ne!(a, b);
-/// ```
-pub fn pack_term(term: &Term, out: &mut Vec<u8>) {
-    match term {
-        Term::Stop => out.push(0),
-        Term::Exit(es) => {
-            out.push(1);
-            write_uv(out, es.len() as u64);
-            for e in es {
-                pack_expr(e, out);
-            }
-        }
-        Term::Prefix(a, b) => {
-            out.push(2);
-            pack_action(a, out);
-            pack_term(b, out);
-        }
-        Term::Guard(e, b) => {
-            out.push(3);
-            pack_expr(e, out);
-            pack_term(b, out);
-        }
-        Term::Choice(l, r) => {
-            out.push(4);
-            pack_term(l, out);
-            pack_term(r, out);
-        }
-        Term::Par(k, l, r) => {
-            out.push(5);
-            pack_sync(k, out);
-            pack_term(l, out);
-            pack_term(r, out);
-        }
-        Term::Hide(gs, b) => {
-            out.push(6);
-            write_uv(out, gs.len() as u64);
-            for g in gs.iter() {
-                pack_sym(g, out);
-            }
-            pack_term(b, out);
-        }
-        Term::Rename(m, b) => {
-            out.push(7);
-            write_uv(out, m.len() as u64);
-            for (from, to) in m.iter() {
-                pack_sym(from, out);
-                pack_sym(to, out);
-            }
-            pack_term(b, out);
-        }
-        Term::Call(p, gs, es) => {
-            out.push(8);
-            pack_sym(p, out);
-            write_uv(out, gs.len() as u64);
-            for g in gs {
-                pack_sym(g, out);
-            }
-            write_uv(out, es.len() as u64);
-            for e in es {
-                pack_expr(e, out);
-            }
-        }
-        Term::Enable(l, binders, r) => {
-            out.push(9);
-            pack_term(l, out);
-            write_uv(out, binders.len() as u64);
-            for (x, t) in binders {
-                pack_sym(x, out);
-                pack_type(t, out);
-            }
-            pack_term(r, out);
-        }
-        Term::Disable(l, r) => {
-            out.push(10);
-            pack_term(l, out);
-            pack_term(r, out);
-        }
-        Term::Let(binds, b) => {
-            out.push(11);
-            write_uv(out, binds.len() as u64);
-            for (x, t, e) in binds {
-                pack_sym(x, out);
-                pack_type(t, out);
-                pack_expr(e, out);
-            }
-            pack_term(b, out);
-        }
-    }
-}
-
-fn pack_sym(s: &Sym, out: &mut Vec<u8>) {
-    write_uv(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn pack_action(a: &Action, out: &mut Vec<u8>) {
-    pack_sym(&a.gate, out);
-    write_uv(out, a.offers.len() as u64);
-    for o in &a.offers {
-        match o {
-            Offer::Send(e) => {
-                out.push(0);
-                pack_expr(e, out);
-            }
-            Offer::Recv(x, t) => {
-                out.push(1);
-                pack_sym(x, out);
-                pack_type(t, out);
-            }
-        }
-    }
-}
-
-fn pack_sync(k: &SyncKind, out: &mut Vec<u8>) {
-    match k {
-        SyncKind::Interleave => out.push(0),
-        SyncKind::Full => out.push(1),
-        SyncKind::Gates(gs) => {
-            out.push(2);
-            write_uv(out, gs.len() as u64);
-            for g in gs.iter() {
-                pack_sym(g, out);
-            }
-        }
-    }
-}
-
-fn pack_type(t: &Type, out: &mut Vec<u8>) {
-    match t {
-        Type::Bool => out.push(0),
-        Type::Int(lo, hi) => {
-            out.push(1);
-            write_uv(out, zigzag(*lo));
-            write_uv(out, zigzag(*hi));
-        }
-        Type::Enum(def) => {
-            // The enum's *shape* is its identity: two declarations with the
-            // same name but different variants must pack differently.
-            out.push(2);
-            pack_sym(&def.name, out);
-            write_uv(out, def.variants.len() as u64);
-            for v in &def.variants {
-                pack_sym(v, out);
-            }
-        }
-    }
-}
-
-fn pack_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Bool(b) => out.push(u8::from(*b)),
-        Value::Int(i) => {
-            out.push(2);
-            write_uv(out, zigzag(*i));
-        }
-        Value::Sym(s) => {
-            out.push(3);
-            pack_sym(s, out);
-        }
-    }
-}
-
-fn pack_expr(e: &Expr, out: &mut Vec<u8>) {
-    match e {
-        Expr::Const(v) => {
-            out.push(0);
-            pack_value(v, out);
-        }
-        Expr::Var(x) => {
-            out.push(1);
-            pack_sym(x, out);
-        }
-        Expr::Un(op, a) => {
-            out.push(2);
-            out.push(match op {
-                UnOp::Not => 0,
-                UnOp::Neg => 1,
-            });
-            pack_expr(a, out);
-        }
-        Expr::Bin(op, a, b) => {
-            out.push(3);
-            out.push(match op {
-                BinOp::Add => 0,
-                BinOp::Sub => 1,
-                BinOp::Mul => 2,
-                BinOp::Div => 3,
-                BinOp::Mod => 4,
-                BinOp::Eq => 5,
-                BinOp::Ne => 6,
-                BinOp::Lt => 7,
-                BinOp::Le => 8,
-                BinOp::Gt => 9,
-                BinOp::Ge => 10,
-                BinOp::And => 11,
-                BinOp::Or => 12,
-            });
-            pack_expr(a, out);
-            pack_expr(b, out);
-        }
-        Expr::Ite(c, a, b) => {
-            out.push(4);
-            pack_expr(c, out);
-            pack_expr(a, out);
-            pack_expr(b, out);
-        }
+/// Packs a state vector into its store key: one varint per leaf, offset
+/// by one so that the stopped-network marker (`u32::MAX`) packs to a
+/// single zero byte. Every key of one exploration has the same number of
+/// varints, so the encoding is injective.
+pub(crate) fn pack(v: &[u32], out: &mut Vec<u8>) {
+    out.clear();
+    for &id in v {
+        write_uv(out, u64::from(id.wrapping_add(1)));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{sym, EnumDef};
+    use crate::compiled::{Engine, STOPPED};
+    use crate::parser::parse_spec;
+    use crate::term::Term;
     use std::collections::HashMap;
     use std::sync::Arc;
 
-    fn packed(t: &Term) -> Vec<u8> {
+    fn packed(v: &[u32]) -> Vec<u8> {
         let mut out = Vec::new();
-        pack_term(t, &mut out);
+        pack(v, &mut out);
         out
+    }
+
+    /// Counters under hide and a partial synchronization that can all
+    /// `exit` together, which stops the whole network: states are reached
+    /// along many paths.
+    const SPEC: &str = "process Cnt[up, down](n: int 0..2) :=
+           [n < 2] -> up; Cnt[up, down](n + 1)
+        [] [n > 0] -> down; Cnt[up, down](n - 1)
+        [] [n == 2] -> exit
+       endproc
+       behaviour hide d1 in ((Cnt[u1, d1](0) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](1))";
+
+    /// Every (term, key) pair met by unfolding the state graph of [`SPEC`]
+    /// breadth first to `depth` steps, without deduplication, so a state
+    /// reached along several paths shows up once per path.
+    fn unfold(depth: usize) -> Vec<(Arc<Term>, Vec<u8>)> {
+        let spec = parse_spec(SPEC).expect("parses");
+        let (mut engine, init) = Engine::new(spec.top(), &spec);
+        let mut seen = vec![(engine.term(&init), packed(&init))];
+        let mut level = vec![init];
+        let mut succ = Vec::new();
+        for _ in 0..depth {
+            let mut next = Vec::new();
+            for v in &level {
+                engine.derive(v).expect("derivable");
+                for &m in engine.moves() {
+                    engine.apply(m, v, &mut succ);
+                    seen.push((engine.term(&succ), packed(&succ)));
+                    next.push(succ.clone());
+                }
+            }
+            level = next;
+        }
+        seen
     }
 
     #[test]
     fn equal_terms_pack_equal() {
-        let mk = || {
-            Term::Par(
-                SyncKind::gates(["g", "h"]),
-                Term::Prefix(Action::bare("g"), Term::Stop.rc()).rc(),
-                Term::Call(sym("P"), vec![sym("h")], vec![Expr::int(-3)]).rc(),
-            )
-        };
-        assert_eq!(packed(&mk()), packed(&mk()));
-    }
+        let seen = unfold(6);
+        let mut key_of: HashMap<&Term, &[u8]> = HashMap::new();
+        let mut repeats = 0;
+        for (term, key) in &seen {
+            if let Some(prev) = key_of.insert(term, key) {
+                assert_eq!(prev, key.as_slice(), "`{term}` packed two ways");
+                repeats += 1;
+            }
+        }
+        assert!(repeats > 0, "the unfolding reaches some state twice");
 
-    /// A zoo of pairwise-distinct terms, including near-collisions that a
-    /// sloppy (non-length-prefixed) encoding would conflate.
-    fn zoo() -> Vec<Term> {
-        let stop = Term::Stop.rc();
-        let e = Arc::new(EnumDef { name: sym("m"), variants: vec![sym("I"), sym("S")] });
-        let e2 = Arc::new(EnumDef { name: sym("m"), variants: vec![sym("IS")] });
-        vec![
-            Term::Stop,
-            Term::Exit(vec![]),
-            Term::Exit(vec![Expr::int(0)]),
-            Term::Exit(vec![Expr::bool(false)]),
-            Term::Exit(vec![Expr::int(1), Expr::int(2)]),
-            Term::Exit(vec![Expr::bin(BinOp::Add, Expr::int(1), Expr::int(2))]),
-            Term::Prefix(Action::bare("a"), stop.clone()),
-            Term::Prefix(Action::bare("ab"), stop.clone()),
-            // Same spelled-out gates, different split: `a b` vs `ab` + ``.
-            Term::Hide(vec![sym("a"), sym("b")].into(), stop.clone()),
-            Term::Hide(vec![sym("ab"), sym("")].into(), stop.clone()),
-            Term::Hide(vec![sym("ab")].into(), stop.clone()),
-            Term::Rename(vec![(sym("a"), sym("b"))].into(), stop.clone()),
-            Term::Rename(vec![(sym("b"), sym("a"))].into(), stop.clone()),
-            Term::Call(sym("P"), vec![sym("g")], vec![]),
-            Term::Call(sym("Pg"), vec![], vec![]),
-            Term::Call(sym("P"), vec![], vec![Expr::var("g")]),
-            Term::Choice(stop.clone(), Term::Exit(vec![]).rc()),
-            Term::Choice(Term::Exit(vec![]).rc(), stop.clone()),
-            Term::Par(SyncKind::Interleave, stop.clone(), stop.clone()),
-            Term::Par(SyncKind::Full, stop.clone(), stop.clone()),
-            Term::Par(SyncKind::gates(["x"]), stop.clone(), stop.clone()),
-            Term::Enable(stop.clone(), vec![], stop.clone()),
-            Term::Enable(stop.clone(), vec![(sym("x"), Type::Bool)], stop.clone()),
-            Term::Disable(stop.clone(), stop.clone()),
-            Term::Let(vec![(sym("x"), Type::Int(0, 1), Expr::int(0))], stop.clone()),
-            Term::Let(vec![(sym("x"), Type::Int(0, 10), Expr::int(0))], stop.clone()),
-            Term::Let(vec![(sym("x"), Type::Enum(e), Expr::int(0))], stop.clone()),
-            Term::Let(vec![(sym("x"), Type::Enum(e2), Expr::int(0))], stop.clone()),
-            Term::Guard(Expr::bool(true), stop.clone()),
-            Term::Guard(Expr::Un(UnOp::Not, Box::new(Expr::bool(false))), stop.clone()),
-            Term::Guard(Expr::Un(UnOp::Neg, Box::new(Expr::int(1))), stop.clone()),
-            Term::Guard(
-                Expr::Ite(
-                    Box::new(Expr::bool(true)),
-                    Box::new(Expr::int(0)),
-                    Box::new(Expr::int(1)),
-                ),
-                stop.clone(),
-            ),
-            Term::Prefix(
-                Action {
-                    gate: sym("g"),
-                    offers: vec![Offer::Send(Expr::int(1)), Offer::Recv(sym("x"), Type::Bool)],
-                },
-                stop.clone(),
-            ),
-            Term::Prefix(
-                Action {
-                    gate: sym("g"),
-                    offers: vec![Offer::Recv(sym("x"), Type::Bool), Offer::Send(Expr::int(1))],
-                },
-                stop,
-            ),
-        ]
+        // A second compilation of the same behaviour keys it the same way.
+        let spec = parse_spec(SPEC).expect("parses");
+        let (_, a) = Engine::new(spec.top(), &spec);
+        let (_, b) = Engine::new(spec.top(), &spec);
+        assert_eq!(packed(&a), packed(&b));
     }
 
     #[test]
     fn distinct_terms_pack_distinct() {
-        let terms = zoo();
-        let mut seen: HashMap<Vec<u8>, &Term> = HashMap::new();
-        for t in &terms {
-            if let Some(prev) = seen.insert(packed(t), t) {
-                panic!("collision between `{prev}` and `{t}`");
+        let seen = unfold(7);
+        let mut term_of: HashMap<&[u8], &Term> = HashMap::new();
+        for (term, key) in &seen {
+            if let Some(prev) = term_of.insert(key, term) {
+                assert_eq!(prev, term.as_ref(), "collision between `{prev}` and `{term}`");
             }
         }
-        assert_eq!(seen.len(), terms.len());
+        assert!(
+            seen.iter().any(|(_, key)| key.iter().all(|&b| b == 0)),
+            "the unfolding reaches the stopped network"
+        );
+        assert!(term_of.len() > 20, "{} distinct states", term_of.len());
     }
 
     #[test]
-    fn negative_ints_fold_small() {
-        // Zigzag keeps small magnitudes short: -1 must not cost 10 bytes.
-        let a = packed(&Term::Exit(vec![Expr::int(-1)]));
-        let b = packed(&Term::Exit(vec![Expr::int(1)]));
-        assert_eq!(a.len(), b.len());
+    fn equal_states_pack_equal_and_distinct_states_distinct() {
+        let states: [&[u32]; 6] =
+            [&[0, 0, 0], &[0, 0, 1], &[1, 0, 0], &[127, 0, 0], &[0, 128, 0], &[STOPPED; 3]];
+        for (i, a) in states.iter().enumerate() {
+            assert_eq!(packed(a), packed(a));
+            for b in &states[i + 1..] {
+                assert_ne!(packed(a), packed(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_stopped_network_packs_to_one_zero_byte_per_leaf() {
+        assert_eq!(packed(&[STOPPED; 4]), vec![0; 4]);
+        assert_eq!(packed(&[0, 1]), vec![1, 2]);
     }
 }

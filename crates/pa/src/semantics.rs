@@ -1,8 +1,11 @@
 //! Structural operational semantics of the mini-LOTOS dialect.
 //!
 //! [`transitions`] derives the outgoing transitions of a *closed* behaviour
-//! term. Closed terms are the states of the generated LTS; the explorer
-//! (`crate::explorer`) drives this function from the initial term.
+//! term. Closed terms are the states of the reference transition system
+//! [`crate::ts::PaTs`]; the explorer (`crate::explorer`) applies this
+//! function to each sequential component of a compiled parallel network
+//! (`crate::compiled`) and combines the results with the same rules as
+//! `derive_par` below.
 
 use crate::expr::EvalError;
 use crate::spec::Spec;
@@ -149,33 +152,14 @@ fn derive(
             let inner = derive(b, spec, unfolds)?;
             Ok(inner
                 .into_iter()
-                .map(|(lab, t)| {
-                    let lab = match &lab {
-                        Label::Gate(g, _) if gates.iter().any(|h| h == g) => Label::Tau,
-                        _ => lab,
-                    };
-                    (lab, Term::Hide(gates.clone(), t).rc())
-                })
+                .map(|(lab, t)| (hide_label(gates, lab), Term::Hide(gates.clone(), t).rc()))
                 .collect())
         }
         Term::Rename(map, b) => {
             let inner = derive(b, spec, unfolds)?;
             Ok(inner
                 .into_iter()
-                .map(|(lab, t)| {
-                    let lab = match lab {
-                        Label::Gate(g, vs) => {
-                            let g2 = map
-                                .iter()
-                                .find(|(a, _)| *a == g)
-                                .map(|(_, c)| c.clone())
-                                .unwrap_or(g);
-                            Label::Gate(g2, vs)
-                        }
-                        other => other,
-                    };
-                    (lab, Term::Rename(map.clone(), t).rc())
-                })
+                .map(|(lab, t)| (rename_label(map, lab), Term::Rename(map.clone(), t).rc()))
                 .collect())
         }
         Term::Call(name, gates, args) => {
@@ -349,6 +333,36 @@ fn resolve_type(ty: &crate::value::Type, _spec: &Spec) -> Result<crate::value::T
     Ok(ty.clone())
 }
 
+/// The label `hide gates in B` shows for a label of `B`: hidden gates
+/// become τ.
+pub(crate) fn hide_label(gates: &[Sym], label: Label) -> Label {
+    match &label {
+        Label::Gate(g, _) if gates.iter().any(|h| h == g) => Label::Tau,
+        _ => label,
+    }
+}
+
+/// The label a gate renaming shows for a label of its body.
+pub(crate) fn rename_label(map: &[(Sym, Sym)], label: Label) -> Label {
+    match label {
+        Label::Gate(g, vs) => {
+            let g2 = map.iter().find(|(a, _)| *a == g).map(|(_, c)| c.clone()).unwrap_or(g);
+            Label::Gate(g2, vs)
+        }
+        other => other,
+    }
+}
+
+/// Whether a parallel composition of discipline `kind` forces `label` to
+/// synchronize: τ never does, δ always does (LOTOS joint termination).
+pub(crate) fn must_sync(kind: &SyncKind, label: &Label) -> bool {
+    match label {
+        Label::Tau => false,
+        Label::Exit(_) => true,
+        Label::Gate(g, _) => kind.synchronizes(g),
+    }
+}
+
 fn derive_par(
     kind: &SyncKind,
     l: &Arc<Term>,
@@ -358,26 +372,19 @@ fn derive_par(
 ) -> Result<Vec<(Label, Arc<Term>)>, SemError> {
     let lt = derive(l, spec, unfolds)?;
     let rt = derive(r, spec, unfolds)?;
-    let must_sync = |lab: &Label| -> bool {
-        match lab {
-            Label::Tau => false,
-            Label::Exit(_) => true, // δ always synchronizes in LOTOS
-            Label::Gate(g, _) => kind.synchronizes(g),
-        }
-    };
     let mut out = Vec::new();
     for (lab, t) in &lt {
-        if !must_sync(lab) {
+        if !must_sync(kind, lab) {
             out.push((lab.clone(), Term::Par(kind.clone(), t.clone(), r.clone()).rc()));
         }
     }
     for (lab, t) in &rt {
-        if !must_sync(lab) {
+        if !must_sync(kind, lab) {
             out.push((lab.clone(), Term::Par(kind.clone(), l.clone(), t.clone()).rc()));
         }
     }
     for (ll, tl) in &lt {
-        if !must_sync(ll) {
+        if !must_sync(kind, ll) {
             continue;
         }
         for (rl, tr) in &rt {

@@ -1,8 +1,13 @@
 //! Behaviour terms: the abstract syntax of the mini-LOTOS dialect.
 //!
-//! Terms double as *states* during state-space generation: the explorer uses
-//! closed terms (all value variables substituted) as canonical state
-//! identities, hash-consed through `Arc` and structural equality.
+//! Closed terms (all value variables substituted) are the states of the
+//! SOS semantics, compared by structural equality; the reference view
+//! [`crate::ts::PaTs`] explores them directly. The explorer does not key
+//! states by whole terms: it splits the initial term once into its
+//! sequential components (`crate::compiled`), and a state is a vector of
+//! per-component ids, each naming a closed component term. A state's full
+//! term is rebuilt from that vector where callers ask for it
+//! ([`crate::explorer::Explored::states`], error reports).
 
 use crate::expr::Expr;
 use crate::value::{Sym, Type, Value};

@@ -176,6 +176,26 @@ fn hostile_aut_header_exits_cleanly() {
     assert!(stderr.contains("Budget exceeded"), "{stderr}");
 }
 
+/// The committed 37-byte `.blts` declares four billion states and a
+/// degree column of 40 GB compressed into one byte, under a valid
+/// checksum. It is refused against the state budget, and with the budget
+/// raised past the header, by the decompressor's expansion bound: a clean
+/// nonzero exit either way, never an allocation abort (exit 134).
+#[test]
+fn hostile_blts_header_exits_cleanly() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/data/hostile_header.blts");
+    let path = path.to_str().expect("utf-8 path");
+    assert_eq!(std::fs::metadata(path).expect("committed fixture").len(), 37);
+    for cap in ["1000000", "4000000000"] {
+        let (_, stderr, code) = multival_code(&["explore", path, "--max-states", cap]);
+        let code = code.expect("exits with a code, not a signal");
+        assert!(code != 0 && code != 134, "cap {cap}: exit {code}: {stderr}");
+    }
+    let (_, stderr, _) = multival_code(&["explore", path]);
+    assert!(stderr.contains("Budget exceeded"), "{stderr}");
+}
+
 #[test]
 fn simulate_exits_2_when_stopping_rule_unmet() {
     let model = write_model(

@@ -242,6 +242,32 @@ fn reduction_pipeline_golden() {
     }
 }
 
+/// The explored numbering of every committed example: the digest of
+/// `multival explore <stem>.lot --aut` pins state ids, transition order
+/// and the label table, not just the canonical quotient. The digests were
+/// generated by the term-rewriting explorer, so they also pin that the
+/// compiled explorer numbers states exactly as a BFS over terms does.
+#[test]
+fn explored_numbering_golden() {
+    let examples = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../examples");
+    let mut stems: Vec<String> = std::fs::read_dir(&examples)
+        .expect("examples dir")
+        .filter_map(|e| {
+            let name = e.expect("dir entry").file_name().into_string().expect("utf-8 name");
+            name.strip_suffix(".lot").map(str::to_owned)
+        })
+        .collect();
+    stems.sort();
+    assert!(stems.len() >= 11, "the committed examples are all found: {stems:?}");
+    for stem in stems {
+        let source = std::fs::read_to_string(examples.join(format!("{stem}.lot"))).expect("read");
+        let spec = parse_spec(&source).expect("example parses");
+        let lts = explore(&spec, &ExploreOptions::default()).expect("example explores").lts;
+        let digest = format!("{}\n", multival_integration::sha256_hex(write_aut(&lts).as_bytes()));
+        check_golden(&format!("explore_{stem}.aut.sha256"), &digest);
+    }
+}
+
 /// Scheduler-quantified bounds for the two nondeterministic case studies:
 /// the xSTream routed pipeline (fast/slow NoC route chosen per transfer)
 /// and the FAME2 contended fabric (cache-to-cache flush vs home-memory

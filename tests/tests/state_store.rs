@@ -8,17 +8,20 @@
 //! the BLTS codec against the Aldebaran text format on random LTSs.
 
 use multival::lts::io::{read_aut, read_blts, write_aut, write_blts};
+use multival::lts::reach::materialize;
 use multival::lts::store::{StoreConfig, StoreKind};
 use multival::lts::{Lts, LtsBuilder};
 use multival::models::fame2::network::ping_pong_source;
 use multival::models::faust::mesh::complement_source_n;
 use multival::models::faust::noc::single_packet_source;
+use multival::models::xmas::{generate, render_lot, GenConfig, RenderOptions};
 use multival::models::xstream::pipeline::library;
 use multival::pa::{
     explore, explore_partial, explore_term_store, explore_term_store_partial, parse_behaviour,
-    parse_spec, ExploreOptions,
+    parse_spec, transitions, Exploration, ExploreOptions, PaTs, Spec,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// An xSTream-style flat pipeline assembled from the component library:
 /// producer → queue → queue → consumer with the interior gate hidden.
@@ -115,8 +118,11 @@ fn decode_spec(genome: &[u8]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random specs explored through the term index and through the arena
-    /// store give byte-identical `.aut` and the same abort report.
+    /// Random specs explored through the term-keeping explorer, through
+    /// the arena store, and — when the cap is not hit — by materializing
+    /// the term semantics ([`PaTs`]) give byte-identical `.aut` and the
+    /// same abort report, and the kept state terms are the term semantics'
+    /// states.
     #[test]
     fn arena_exploration_matches_the_term_index_on_random_specs(
         genome in prop::collection::vec(0u8..255, 1..24)
@@ -139,6 +145,249 @@ proptest! {
             write_aut(&stored.lts),
             "LTS diverged on {}", src
         );
+        if indexed.aborted.is_none() {
+            assert_matches_term_semantics(&src, &spec, &indexed);
+        }
+    }
+}
+
+/// Asserts that a complete exploration is the term semantics: its `.aut`
+/// is byte-identical to materializing [`PaTs`], its state terms are
+/// distinct, and each state's transitions are exactly the SOS
+/// derivations of its term.
+fn assert_matches_term_semantics(name: &str, spec: &Spec, run: &Exploration) {
+    assert!(run.aborted.is_none(), "{name}: exploration must be complete");
+    let ts = PaTs::new(spec);
+    let reference = materialize(&ts);
+    assert!(ts.take_error().is_none(), "{name}: the term semantics hit an error");
+    let explored = &run.explored;
+    assert_eq!(write_aut(&explored.lts), write_aut(&reference), "{name}: LTS differs from PaTs");
+
+    let index: HashMap<_, _> = explored.states.iter().enumerate().map(|(i, t)| (t, i)).collect();
+    assert_eq!(index.len(), explored.states.len(), "{name}: state terms must be distinct");
+    for (s, term) in explored.states.iter().enumerate() {
+        let mut want: Vec<(String, usize)> = transitions(term, spec)
+            .expect("derivable")
+            .into_iter()
+            .map(|(label, target)| (label.to_string(), index[&target]))
+            .collect();
+        let mut got: Vec<(String, usize)> = explored
+            .lts
+            .transitions_from(s as u32)
+            .iter()
+            .map(|t| (explored.lts.labels().name(t.label).to_owned(), t.target as usize))
+            .collect();
+        // The LTS keeps each state's transitions sorted by label id.
+        want.sort();
+        got.sort();
+        assert_eq!(got, want, "{name}: state {s} `{term}`");
+    }
+}
+
+/// Explores `src` with every store backend and checks they all agree
+/// with the term-keeping explorer, which is returned.
+fn explore_all_backends(name: &str, spec: &Spec, options: &ExploreOptions) -> Exploration {
+    let run = explore_partial(spec, options);
+    let aut = write_aut(&run.explored.lts);
+    for kind in StoreKind::ALL {
+        let config = StoreConfig { kind, mem_budget: Some(1) };
+        let stored = explore_term_store_partial(spec.top().clone(), spec, options, &config);
+        assert_eq!(run.aborted, stored.aborted, "{name}: {kind:?} abort report");
+        assert_eq!(aut, write_aut(&stored.lts), "{name}: {kind:?} LTS");
+    }
+    run
+}
+
+/// Every committed example (the xMAS fixtures among them) and a seeded
+/// range of generated xMAS fabrics explore to the term semantics' LTS, at
+/// every store backend.
+#[test]
+fn compiled_exploration_matches_the_term_semantics_on_committed_and_generated_models() {
+    let examples = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../examples");
+    // (name, source, state cap): the committed examples run uncapped; the
+    // generated fabrics are capped so that the two largest of the range
+    // (~18k states) only meet the backend comparison, which keeps the
+    // term-semantics side of this debug-built test to a few seconds.
+    let mut inputs: Vec<(String, String, usize)> = Vec::new();
+    for entry in std::fs::read_dir(&examples).expect("examples dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "lot") {
+            let source = std::fs::read_to_string(&path).expect("read example");
+            inputs.push((path.display().to_string(), source, 1_000_000));
+        }
+    }
+    assert!(inputs.len() >= 11, "the committed examples are all found");
+    for seed in 0..40 {
+        let fabric = generate(seed, &GenConfig::default());
+        let source = render_lot(&fabric, &RenderOptions::default()).expect("fabric renders");
+        inputs.push((format!("xmas seed {seed}"), source, 4_000));
+    }
+    let mut complete = 0;
+    for (name, source, cap) in &inputs {
+        let spec = parse_spec(source).expect("parses");
+        let run = explore_all_backends(name, &spec, &ExploreOptions::with_max_states(*cap));
+        if run.aborted.is_none() {
+            assert_matches_term_semantics(name, &spec, &run);
+            complete += 1;
+        }
+    }
+    assert!(complete >= 45, "most inputs explore within their cap ({complete})");
+}
+
+/// Joint `exit`s: a `|||` chain terminating under `hide`, exits under
+/// `|[G]|` inside `|||` followed by `>>`, value-carrying exits that only
+/// partly agree, duplicate δ moves whose combinations multiply, an exit
+/// feeding `accept`, and termination through a renaming.
+const EXIT_SPECS: [&str; 6] = [
+    "process W[a, b](n: int 0..2) :=
+         [n < 2] -> a !n; W[a, b](n + 1)
+      [] [n == 2] -> b; exit
+     endproc
+     behaviour hide b in (W[a, b](0) ||| W[c, b](1) ||| (e; exit))",
+    "behaviour ((((a; exit) |[a]| (a; exit)) ||| ((b; exit) [] (c; exit))) >> (d; stop))
+         |[d]| (d; e; stop)",
+    "behaviour ((g; exit(1)) [] (g; exit(2))) |[g]| ((g; exit(2)) [] (g; (exit(1) [] exit(2))))",
+    "behaviour hide a in ((exit [] exit) ||| (exit [] (a; exit)) ||| ((b; exit) [] (exit [] exit)))",
+    "behaviour ((a; exit(1)) ||| (b; exit(1))) >> accept x: int 0..3 in (c !x; stop)",
+    "behaviour hide k in ((rename h -> k in ((h; exit) ||| (h; exit))) |[k]| (k; k; exit))",
+];
+
+#[test]
+fn joint_exits_match_the_term_semantics() {
+    for src in EXIT_SPECS {
+        let spec = parse_spec(src).expect("parses");
+        let run = explore_all_backends(src, &spec, &ExploreOptions::default());
+        assert_matches_term_semantics(src, &spec, &run);
+    }
+}
+
+const CNT: &str = "process Cnt[up, down](n: int 0..3) :=
+       [n < 3] -> up; Cnt[up, down](n + 1)
+    [] [n > 0] -> down; Cnt[up, down](n - 1)
+   endproc
+   behaviour hide d1 in ((Cnt[u1, d1](0) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](1))";
+
+/// An aborted exploration with its abort report, partial `.aut` and state
+/// terms, pinned from the term-rewriting explorer.
+struct Pinned {
+    source: &'static str,
+    max_states: usize,
+    max_transitions: usize,
+    aborted: &'static str,
+    aut: &'static str,
+    states: &'static str,
+}
+
+const PINNED: [Pinned; 4] = [
+    // A semantic error reached mid-exploration, after other states.
+    Pinned {
+        source: "process P[a](n: int 0..3) := a !n; P[a](n + 1) endproc
+                 process R[b](m: int 0..2) :=
+                     [m < 2] -> b; R[b](m + 1)
+                  [] [m == 2] -> b; R[b](0)
+                 endproc
+                 behaviour hide a in (R[b](0) ||| P[a](0))",
+        max_states: 1000,
+        max_transitions: 8000,
+        aborted:
+            "Some(Semantics { error: TypeRange(\"argument `n` of `P`: 4 is not in int 0..3\"), \
+                  state: \"hide a in (R[b](0) ||| P[a](4))\" })",
+        aut: "des (0, 22, 14)\n(0, \"i\", 2)\n(0, \"b\", 1)\n(1, \"i\", 4)\n(1, \"b\", 3)\n\
+              (2, \"i\", 5)\n(2, \"b\", 4)\n(3, \"i\", 6)\n(3, \"b\", 0)\n(4, \"i\", 7)\n\
+              (4, \"b\", 6)\n(5, \"i\", 8)\n(5, \"b\", 7)\n(6, \"i\", 9)\n(6, \"b\", 2)\n\
+              (7, \"i\", 10)\n(7, \"b\", 9)\n(8, \"i\", 11)\n(8, \"b\", 10)\n(9, \"i\", 12)\n\
+              (9, \"b\", 5)\n(10, \"i\", 13)\n(10, \"b\", 12)\n",
+        states: "hide a in (R[b](0) ||| P[a](0))
+hide a in (R[b](1) ||| P[a](0))
+hide a in (R[b](0) ||| P[a](1))
+hide a in (R[b](2) ||| P[a](0))
+hide a in (R[b](1) ||| P[a](1))
+hide a in (R[b](0) ||| P[a](2))
+hide a in (R[b](2) ||| P[a](1))
+hide a in (R[b](1) ||| P[a](2))
+hide a in (R[b](0) ||| P[a](3))
+hide a in (R[b](2) ||| P[a](2))
+hide a in (R[b](1) ||| P[a](3))
+hide a in (R[b](0) ||| P[a](4))
+hide a in (R[b](2) ||| P[a](3))
+hide a in (R[b](1) ||| P[a](4))
+",
+    },
+    // Two leaves fail in the same state: the leftmost one reports.
+    Pinned {
+        source: "process P[a](n: int 0..2) := a; P[a](n + 1) endproc
+                 process Q[a](n: int 0..2) := a; Q[a](n + 1) endproc
+                 behaviour (P[a](0) |[a]| Q[a](0)) ||| (b; stop)",
+        max_states: 1000,
+        max_transitions: 8000,
+        aborted:
+            "Some(Semantics { error: TypeRange(\"argument `n` of `P`: 3 is not in int 0..2\"), \
+                  state: \"((P[a](3) |[a]| Q[a](3)) ||| b; stop)\" })",
+        aut: "des (0, 8, 7)\n(0, \"a\", 1)\n(0, \"b\", 2)\n(1, \"a\", 3)\n(1, \"b\", 4)\n\
+              (2, \"a\", 4)\n(3, \"a\", 5)\n(3, \"b\", 6)\n(4, \"a\", 6)\n",
+        states: "((P[a](0) |[a]| Q[a](0)) ||| b; stop)
+((P[a](1) |[a]| Q[a](1)) ||| b; stop)
+((P[a](0) |[a]| Q[a](0)) ||| stop)
+((P[a](2) |[a]| Q[a](2)) ||| b; stop)
+((P[a](1) |[a]| Q[a](1)) ||| stop)
+((P[a](3) |[a]| Q[a](3)) ||| b; stop)
+((P[a](2) |[a]| Q[a](2)) ||| stop)
+",
+    },
+    // The state cap.
+    Pinned {
+        source: CNT,
+        max_states: 7,
+        max_transitions: 1000,
+        aborted: "Some(Explosion { states: 7, transitions: 8, depth: 1 })",
+        aut: "des (0, 8, 7)\n(0, \"u1\", 1)\n(0, \"x\", 2)\n(0, \"u2\", 3)\n(1, \"i\", 0)\n\
+              (1, \"u1\", 4)\n(1, \"x\", 5)\n(1, \"u2\", 6)\n(2, \"u1\", 5)\n",
+        states: "hide d1 in ((Cnt[u1, d1](0) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](1))
+hide d1 in ((Cnt[u1, d1](1) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](1))
+hide d1 in ((Cnt[u1, d1](0) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](0))
+hide d1 in ((Cnt[u1, d1](0) ||| Cnt[u2, d2](1)) |[u2]| Cnt[u2, x](2))
+hide d1 in ((Cnt[u1, d1](2) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](1))
+hide d1 in ((Cnt[u1, d1](1) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](0))
+hide d1 in ((Cnt[u1, d1](1) ||| Cnt[u2, d2](1)) |[u2]| Cnt[u2, x](2))
+",
+    },
+    // The transition cap.
+    Pinned {
+        source: CNT,
+        max_states: 1000,
+        max_transitions: 9,
+        aborted: "Some(Explosion { states: 8, transitions: 9, depth: 1 })",
+        aut: "des (0, 9, 8)\n(0, \"u1\", 1)\n(0, \"x\", 2)\n(0, \"u2\", 3)\n(1, \"i\", 0)\n\
+              (1, \"u1\", 4)\n(1, \"x\", 5)\n(1, \"u2\", 6)\n(2, \"u1\", 5)\n(2, \"u2\", 7)\n",
+        states: "hide d1 in ((Cnt[u1, d1](0) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](1))
+hide d1 in ((Cnt[u1, d1](1) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](1))
+hide d1 in ((Cnt[u1, d1](0) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](0))
+hide d1 in ((Cnt[u1, d1](0) ||| Cnt[u2, d2](1)) |[u2]| Cnt[u2, x](2))
+hide d1 in ((Cnt[u1, d1](2) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](1))
+hide d1 in ((Cnt[u1, d1](1) ||| Cnt[u2, d2](0)) |[u2]| Cnt[u2, x](0))
+hide d1 in ((Cnt[u1, d1](1) ||| Cnt[u2, d2](1)) |[u2]| Cnt[u2, x](2))
+hide d1 in ((Cnt[u1, d1](0) ||| Cnt[u2, d2](1)) |[u2]| Cnt[u2, x](1))
+",
+    },
+];
+
+/// A semantic error and both caps abort with the report, the partial
+/// `.aut` and the state terms the term-rewriting explorer produced, at
+/// every store backend.
+#[test]
+fn errors_and_caps_keep_the_pinned_partial_work() {
+    for case in PINNED {
+        let spec = parse_spec(case.source).expect("parses");
+        let options = ExploreOptions {
+            max_states: case.max_states,
+            max_transitions: case.max_transitions,
+            ..ExploreOptions::default()
+        };
+        let run = explore_all_backends(case.source, &spec, &options);
+        assert_eq!(format!("{:?}", run.aborted), case.aborted, "{}", case.source);
+        assert_eq!(write_aut(&run.explored.lts), case.aut, "{}", case.source);
+        let states: String = run.explored.states.iter().map(|t| format!("{t}\n")).collect();
+        assert_eq!(states, case.states, "{}", case.source);
     }
 }
 
