@@ -140,8 +140,12 @@ pub struct FuzzReport {
     pub deadlocks_found: usize,
     /// Seeds where the throughput-bounds oracle ran.
     pub bounds_checked: usize,
-    /// Seeds where the bounds solver declined (no rates, solver error).
+    /// Seeds where the bounds oracle does not apply (no rated probe, or a
+    /// deadlocking fabric).
     pub bounds_skipped: usize,
+    /// Seeds where the bounds oracle applies but the solver returned an
+    /// error (conversion refused, no convergence, Zeno guard).
+    pub bounds_refused: usize,
     /// Seeds whose monolithic product exceeded the size cap.
     pub mono_skipped: usize,
     /// Seeds where the planted flip does not type-check (the flipped
@@ -163,10 +167,11 @@ impl FuzzReport {
         );
         let _ = writeln!(
             out,
-            "oracles: bounds {} checked / {} skipped, mono {} skipped, \
+            "oracles: bounds {} checked / {} skipped / {} refused, mono {} skipped, \
              {} deadlocking fabrics, flip {} skipped",
             self.bounds_checked,
             self.bounds_skipped,
+            self.bounds_refused,
             self.mono_skipped,
             self.deadlocks_found,
             self.flip_skipped
@@ -205,6 +210,7 @@ struct SeedStats {
     deadlocks: bool,
     bounds_checked: bool,
     bounds_skipped: bool,
+    bounds_refused: bool,
     mono_skipped: bool,
     flip_skipped: bool,
 }
@@ -229,6 +235,7 @@ pub fn run_fuzz(options: &FuzzOptions) -> FuzzReport {
                 report.deadlocks_found += usize::from(stats.deadlocks);
                 report.bounds_checked += usize::from(stats.bounds_checked);
                 report.bounds_skipped += usize::from(stats.bounds_skipped);
+                report.bounds_refused += usize::from(stats.bounds_refused);
                 report.mono_skipped += usize::from(stats.mono_skipped);
                 report.flip_skipped += usize::from(stats.flip_skipped);
             }
@@ -445,9 +452,9 @@ fn check_fabric(
                         }
                     }
                 }
-                Err(_) => stats.bounds_skipped = true,
+                Err(_) => stats.bounds_refused = true,
             },
-            Err(_) => stats.bounds_skipped = true,
+            Err(_) => stats.bounds_refused = true,
         }
     }
 
@@ -466,6 +473,10 @@ mod tests {
         assert!(report.mismatches.is_empty(), "{}", report.render());
         assert!(!report.budget_tripped);
         assert!(report.states_explored > 0);
+        // The bounds solver answers every fabric the oracle applies to.
+        assert!(report.bounds_checked > 0, "{}", report.render());
+        assert_eq!(report.bounds_refused, 0, "{}", report.render());
+        assert!(report.render().contains(" / 0 refused,"), "{}", report.render());
     }
 
     #[test]

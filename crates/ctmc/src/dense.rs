@@ -1,11 +1,23 @@
 //! Dense reference solvers.
 //!
-//! These run the same uniformization/power-iteration algorithms as the CSR
-//! production paths ([`crate::steady`], [`crate::transient`]) but through a
-//! naive dense `n × n` matrix kernel. They exist as oracles: the metamorphic
-//! property suite checks that the CSR and dense answers agree to 1e-9, and
-//! the bench harness reports the dense-vs-CSR wall-time ratio. O(n²) per
-//! step — keep `n` small.
+//! They exist as oracles for the sparse production paths: the metamorphic
+//! property suite and the differential solver suite check that the sparse
+//! and dense answers agree to 1e-9, and the bench harness reports the
+//! dense-vs-CSR wall-time ratio.
+//!
+//! * [`transient_dense`] runs the same uniformization as
+//!   [`crate::transient`] through a naive dense `n × n` kernel, so it checks
+//!   the CSR kernel, not the algorithm.
+//! * [`steady_state_dense`] does *not* run the production algorithm. It
+//!   finds the closed classes from all-pairs reachability (not Tarjan), solves
+//!   each class by Gaussian elimination with partial pivoting on `πQ = 0`
+//!   with one equation replaced by `Σπ = 1` (not subtraction-free GTH
+//!   elimination, and no fill bound), and gets the absorption
+//!   probabilities from a dense solve for the expected time spent in each
+//!   transient state (not by iterating the jump chain). That independence
+//!   is what makes it an oracle for [`crate::steady::steady_state`].
+//!
+//! O(n³) time and O(n²) memory — keep `n` small.
 
 use crate::ctmc::{Ctmc, CtmcError};
 use crate::steady::SolveOptions;
@@ -63,46 +75,133 @@ pub fn transient_dense(
     })
 }
 
-/// Long-run distribution via dense power iteration of `P = I + Q/Λ` from
-/// the initial distribution. The slack in Λ makes the chain aperiodic, so
-/// `π₀ Pᵏ` converges to the limiting distribution — for reducible chains
-/// this is the same BSCC mixture [`crate::steady::steady_state`] computes,
-/// though convergence degrades with slow absorption; its role here is as a
-/// small-chain oracle.
+/// Long-run distribution by dense direct solves: the closed classes come
+/// from all-pairs reachability, each class's stationary vector from Gaussian
+/// elimination with partial pivoting, and the mass each class receives
+/// from a dense solve for the expected time spent in each transient state
+/// before absorption. `_options` is unused: nothing iterates.
 ///
 /// # Errors
 ///
-/// Returns [`CtmcError::NoConvergence`] when the iteration cap is exceeded.
-pub fn steady_state_dense(ctmc: &Ctmc, options: &SolveOptions) -> Result<Vec<f64>, CtmcError> {
+/// Returns [`CtmcError::Undefined`] when a dense system is numerically
+/// singular.
+pub fn steady_state_dense(ctmc: &Ctmc, _options: &SolveOptions) -> Result<Vec<f64>, CtmcError> {
     let n = ctmc.num_states();
-    if ctmc.max_exit_rate() == 0.0 {
-        return Ok(ctmc.initial_dense());
-    }
-    let (p, _) = uniformized_matrix(ctmc);
-    let mut pi = ctmc.initial_dense();
-    let mut next = vec![0.0; n];
-    for iter in 0..options.max_iterations {
-        dense_step(n, &p, &pi, &mut next);
-        let total: f64 = next.iter().sum();
-        if total > 0.0 {
-            for x in &mut next {
-                *x /= total;
+    // Dense off-diagonal rates (duplicates merged, self-loops ignored).
+    let mut q = vec![0.0; n * n];
+    for s in 0..n {
+        for t in ctmc.transitions_from(s) {
+            if t.target != s {
+                q[s * n + t.target] += t.rate;
             }
         }
-        let delta = pi.iter().zip(&next).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-        std::mem::swap(&mut pi, &mut next);
-        if delta < options.tolerance {
-            return Ok(pi);
+    }
+    let reach: Vec<Vec<bool>> = (0..n).map(|s| reachable(ctmc, s)).collect();
+    // A state is recurrent when every state it reaches reaches it back;
+    // its closed class is then exactly the set it reaches.
+    let recurrent: Vec<bool> =
+        (0..n).map(|s| (0..n).all(|t| !reach[s][t] || reach[t][s])).collect();
+    let transient: Vec<usize> = (0..n).filter(|&s| !recurrent[s]).collect();
+    let initial = ctmc.initial_dense();
+    // Expected time in each transient state: z · (−Q_TT) = initial_T.
+    let m = transient.len();
+    let mut time = vec![0.0; m];
+    if initial.iter().zip(&recurrent).any(|(&p, &r)| p > 0.0 && !r) {
+        let mut a = vec![0.0; m * m];
+        for (i, &s) in transient.iter().enumerate() {
+            let exit: f64 = q[s * n..(s + 1) * n].iter().sum();
+            a[i * m + i] = exit;
+            for (j, &t) in transient.iter().enumerate() {
+                // Transposed: row j of the system is column j of −Q_TT.
+                a[j * m + i] -= q[s * n + t];
+            }
+            time[i] = initial[s];
         }
-        if iter == options.max_iterations - 1 {
-            return Err(CtmcError::NoConvergence {
-                what: "dense steady-state power iteration",
-                iterations: options.max_iterations,
-                residual: delta,
-            });
+        solve(&mut a, &mut time, m)?;
+    }
+    let mut pi = vec![0.0; n];
+    let mut seen = vec![false; n];
+    for s in 0..n {
+        if !recurrent[s] || seen[s] {
+            continue;
+        }
+        let class: Vec<usize> = (0..n).filter(|&t| reach[s][t]).collect();
+        let mut mass: f64 = class.iter().map(|&c| initial[c]).sum();
+        for (i, &t) in transient.iter().enumerate() {
+            mass += time[i] * class.iter().map(|&c| q[t * n + c]).sum::<f64>();
+        }
+        // πQ = 0 restricted to the class, transposed, last row Σπ = 1.
+        let c = class.len();
+        let mut a = vec![0.0; c * c];
+        for (i, &u) in class.iter().enumerate() {
+            for (j, &v) in class.iter().enumerate() {
+                if i != j {
+                    a[j * c + i] += q[u * n + v];
+                    a[i * c + i] -= q[u * n + v];
+                }
+            }
+        }
+        let mut b = vec![0.0; c];
+        a[(c - 1) * c..].fill(1.0);
+        b[c - 1] = 1.0;
+        solve(&mut a, &mut b, c)?;
+        for (&u, &p) in class.iter().zip(&b) {
+            seen[u] = true;
+            pi[u] = mass * p;
         }
     }
-    unreachable!("loop returns")
+    Ok(pi)
+}
+
+/// The states reachable from `s` (including `s`).
+fn reachable(ctmc: &Ctmc, s: usize) -> Vec<bool> {
+    let mut seen = vec![false; ctmc.num_states()];
+    seen[s] = true;
+    let mut stack = vec![s];
+    while let Some(u) = stack.pop() {
+        for t in ctmc.transitions_from(u) {
+            if !seen[t.target] {
+                seen[t.target] = true;
+                stack.push(t.target);
+            }
+        }
+    }
+    seen
+}
+
+/// Solves `a · x = b` in place (`b` becomes `x`) by Gaussian elimination
+/// with partial pivoting; `a` is row-major `n × n` and is destroyed.
+fn solve(a: &mut [f64], b: &mut [f64], n: usize) -> Result<(), CtmcError> {
+    for col in 0..n {
+        let pivot = (col..n)
+            .max_by(|&i, &j| a[i * n + col].abs().total_cmp(&a[j * n + col].abs()))
+            .expect("non-empty pivot range");
+        if a[pivot * n + col] == 0.0 {
+            return Err(CtmcError::Undefined("singular dense steady-state system".to_owned()));
+        }
+        if pivot != col {
+            for k in 0..n {
+                a.swap(pivot * n + k, col * n + k);
+            }
+            b.swap(pivot, col);
+        }
+        let d = a[col * n + col];
+        for row in col + 1..n {
+            let f = a[row * n + col] / d;
+            if f == 0.0 {
+                continue;
+            }
+            for k in col..n {
+                a[row * n + k] -= f * a[col * n + k];
+            }
+            b[row] -= f * b[col];
+        }
+    }
+    for col in (0..n).rev() {
+        let tail: f64 = (col + 1..n).map(|k| a[col * n + k] * b[k]).sum();
+        b[col] = (b[col] - tail) / a[col * n + col];
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -8,6 +8,8 @@
 //!   transitions (labels enable throughput queries);
 //! * [`steady`] — BSCC-aware steady-state distributions, throughputs, and
 //!   state rewards;
+//! * [`gth`] — the sparse GTH state-elimination kernel behind the
+//!   steady-state and CTMDP long-run solvers;
 //! * [`transient`] — time-dependent distributions by uniformization;
 //! * [`absorb`] — expected first-passage/hitting times and reachability
 //!   probabilities (used for latency predictions);
@@ -21,7 +23,8 @@
 //! * [`sparse`] — the CSR kernels behind the iterative solvers;
 //! * [`dense`] — naive dense reference solvers for cross-validation;
 //! * [`stats`] — streaming statistics shared by the statistical engine;
-//! * [`mdp`] — CTMDPs with min/max value iteration (scheduler bounds).
+//! * [`mdp`] — CTMDPs with min/max scheduler bounds (policy iteration for
+//!   long-run averages, value iteration for the other measures).
 //!
 //! # Examples
 //!
@@ -48,6 +51,7 @@ pub mod csl;
 pub mod ctmc;
 pub mod dense;
 pub mod dtmc;
+pub mod gth;
 pub mod mc;
 pub mod mdp;
 pub mod phfit;

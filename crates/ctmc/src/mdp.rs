@@ -15,6 +15,7 @@
 //! being forced into a single resolution (see `multival_imc::to_ctmdp_lifted`).
 
 use crate::ctmc::{CtmcError, State};
+use crate::gth::{Gth, Overfill};
 
 /// Inner fixpoint tolerance for instant-state propagation.
 const INSTANT_TOL: f64 = 1e-13;
@@ -507,24 +508,43 @@ impl Ctmdp {
         Ok(result)
     }
 
-    /// Min/max *long-run average reward* over all schedulers, by relative
-    /// value iteration on the uniformized chain (span-seminorm stopping).
+    /// Min/max *long-run average reward* over all schedulers, by policy
+    /// iteration over GTH elimination ([`crate::gth`]).
     ///
     /// `rate_reward[s]` accrues per unit of time spent in `s` (occupancy
     /// measures); `impulse[s][a]` is earned per transition taken from `s`
     /// under choice `a` (throughput measures — for a tangible choice the
     /// reward rate is `E_a · impulse`, for an instant choice it is earned at
-    /// each zero-time traversal). The model is assumed unichain under every
-    /// scheduler (every memoryless policy yields one recurrent class —
-    /// true for the lumped ergodic chains of the case studies); a multichain
-    /// model surfaces as [`CtmcError::NoConvergence`] because the span of
-    /// the value differences cannot close.
+    /// each zero-time traversal).
+    ///
+    /// Each memoryless policy is evaluated exactly: its induced chain is
+    /// eliminated down to one reference state per closed class, with
+    /// tangible rates and instant-state probability weights entering the
+    /// elimination alike and the reward and the sojourn time of every state
+    /// folded along as right-hand sides (instant states add impulse but no
+    /// time). A class's gain is the reward accumulated at its reference over
+    /// the time accumulated there, and the bias comes from back
+    /// substitution. Improvement starts from choice 0 everywhere and
+    /// switches a state's choice only when its one-step value (a Bellman
+    /// backup on the chain uniformized at `Λ = 1.02 · max tangible exit
+    /// rate`) improves by more than `tolerance`; `max_iterations` caps the
+    /// number of policies evaluated. A chain whose elimination would
+    /// over-fill is solved instead by relative value iteration on the
+    /// uniformized chain (span-seminorm stopping), where `tolerance` bounds
+    /// the span and `max_iterations` the sweeps.
+    ///
+    /// The model is assumed unichain under every scheduler (every memoryless
+    /// policy yields one recurrent class — true for the lumped ergodic
+    /// chains of the case studies); several closed classes are accepted
+    /// when their gains agree to `tolerance` (relative).
     ///
     /// # Errors
     ///
     /// [`CtmcError::Undefined`] when no tangible Markovian choice exists
-    /// (time never advances), [`CtmcError::NoConvergence`] on iteration-cap
-    /// overrun or a Zeno instant cycle.
+    /// (time never advances). [`CtmcError::NoConvergence`] when a policy
+    /// has closed classes with unequal gains (multichain), a closed class
+    /// that takes no time (a Zeno cycle of instant states), or when the
+    /// iteration cap is overrun.
     ///
     /// # Panics
     ///
@@ -570,6 +590,176 @@ impl Ctmdp {
                 "long-run average needs at least one tangible Markovian choice".to_owned(),
             ));
         }
+        let reward = Reward { rate: rate_reward, impulse };
+        match self.policy_iteration(&reward, opt, lambda, tolerance, max_iterations) {
+            Ok(solved) => solved,
+            Err(Overfill { .. }) => {
+                self.relative_value_iteration(&reward, opt, lambda, tolerance, max_iterations)
+            }
+        }
+    }
+
+    /// Policy iteration for [`Ctmdp::long_run_average`]; `Err` when a
+    /// policy's elimination would over-fill.
+    fn policy_iteration(
+        &self,
+        reward: &Reward<'_>,
+        opt: Opt,
+        lambda: f64,
+        tolerance: f64,
+        max_iterations: usize,
+    ) -> Result<Result<f64, CtmcError>, Overfill> {
+        let n = self.num_states();
+        let mut policy = vec![0usize; n];
+        let mut gth = Gth::default();
+        let mut rhs = Vec::new();
+        let mut h = vec![0.0; n];
+        let mut residual = f64::INFINITY;
+        for iteration in 1..=max_iterations {
+            let evaluated =
+                self.evaluate_policy(&policy, reward, &mut gth, &mut rhs, tolerance, iteration)?;
+            let g = match evaluated {
+                Ok(g) => g,
+                Err(e) => return Ok(Err(e)),
+            };
+            // RHS of the bias equations: reward minus gain × time, as folded.
+            gth.back_substitute(|k| rhs[2 * k] - g * rhs[2 * k + 1], &mut h);
+            residual = 0.0;
+            let mut improved = false;
+            for (s, chosen) in policy.iter_mut().enumerate() {
+                if self.choices[s].len() < 2 {
+                    continue;
+                }
+                let value = |a: usize| self.one_step(s, a, reward, g, lambda, &h);
+                let current = value(*chosen);
+                let mut best = (*chosen, current);
+                for a in 0..self.choices[s].len() {
+                    let v = value(a);
+                    let better = match opt {
+                        Opt::Min => v < best.1,
+                        Opt::Max => v > best.1,
+                    };
+                    if better {
+                        best = (a, v);
+                    }
+                }
+                let gap = (best.1 - current).abs();
+                if gap > tolerance {
+                    *chosen = best.0;
+                    improved = true;
+                    residual = residual.max(gap);
+                }
+            }
+            if !improved {
+                return Ok(Ok(g));
+            }
+        }
+        Ok(Err(CtmcError::NoConvergence {
+            what: "CTMDP long-run policy iteration",
+            iterations: max_iterations,
+            residual,
+        }))
+    }
+
+    /// Gain of one memoryless policy (the `iteration`-th evaluated),
+    /// leaving its elimination in `gth` and the folded (reward, time) pair
+    /// of each state in `rhs`.
+    fn evaluate_policy(
+        &self,
+        policy: &[usize],
+        reward: &Reward<'_>,
+        gth: &mut Gth,
+        rhs: &mut Vec<f64>,
+        tolerance: f64,
+        iteration: usize,
+    ) -> Result<Result<f64, CtmcError>, Overfill> {
+        let n = self.num_states();
+        gth.reset(n);
+        rhs.clear();
+        rhs.resize(2 * n, 0.0);
+        for s in 0..n {
+            let tangible = !self.instant[s];
+            // Row weights are rates (tangible) or probability weights
+            // (instant); the reward and time of a visit are scaled by the
+            // row's total weight, as the elimination expects.
+            let (reward_weight, time_weight) = match self.choices[s].get(policy[s]) {
+                // Absorbing: a closed class of its own.
+                None if tangible => (reward.rate[s], 1.0),
+                None => (0.0, 0.0),
+                Some(c) => {
+                    gth.add_row(s, c.transitions.iter().copied());
+                    let jumps = c.exit_rate() * reward.impulse_of(s, policy[s]);
+                    if tangible {
+                        (reward.rate[s] + jumps, 1.0)
+                    } else {
+                        (jumps, 0.0)
+                    }
+                }
+            };
+            rhs[2 * s] = reward_weight;
+            rhs[2 * s + 1] = time_weight;
+        }
+        gth.eliminate(rhs, 2)?;
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &r in gth.roots() {
+            let (reward_sum, time_sum) = (rhs[2 * r as usize], rhs[2 * r as usize + 1]);
+            if time_sum <= 0.0 {
+                return Ok(Err(CtmcError::NoConvergence {
+                    what: "CTMDP policy evaluation: a closed class takes no time (Zeno cycle?)",
+                    iterations: iteration,
+                    residual: reward_sum,
+                }));
+            }
+            let g = reward_sum / time_sum;
+            lo = lo.min(g);
+            hi = hi.max(g);
+        }
+        if hi - lo > tolerance * lo.abs().max(hi.abs()).max(1.0) {
+            return Ok(Err(CtmcError::NoConvergence {
+                what: "CTMDP policy evaluation: closed classes with unequal gains (multichain)",
+                iterations: iteration,
+                residual: hi - lo,
+            }));
+        }
+        Ok(Ok((lo + hi) / 2.0))
+    }
+
+    /// One-step value of choice `a` at `s` against gain `g` and bias `h`:
+    /// the uniformized Bellman backup minus `h(s)` for a tangible state,
+    /// the zero-time backup for an instant one.
+    fn one_step(
+        &self,
+        s: State,
+        a: usize,
+        reward: &Reward<'_>,
+        g: f64,
+        lambda: f64,
+        h: &[f64],
+    ) -> f64 {
+        let c = &self.choices[s][a];
+        let e = c.exit_rate();
+        let impulse = reward.impulse_of(s, a);
+        if self.instant[s] {
+            impulse + c.transitions.iter().map(|&(t, w)| (w / e) * h[t]).sum::<f64>()
+        } else {
+            let drift: f64 = c.transitions.iter().map(|&(t, r)| r * (h[t] - h[s])).sum();
+            (reward.rate[s] + e * impulse - g + drift) / lambda
+        }
+    }
+
+    /// Relative value iteration on the uniformized chain: the bail-out of
+    /// [`Ctmdp::long_run_average`] for models whose elimination would
+    /// over-fill.
+    fn relative_value_iteration(
+        &self,
+        reward: &Reward<'_>,
+        opt: Opt,
+        lambda: f64,
+        tolerance: f64,
+        max_iterations: usize,
+    ) -> Result<f64, CtmcError> {
+        let n = self.num_states();
+        let (rate_reward, impulse) = (reward.rate, reward.impulse);
         let tangible: Vec<State> = (0..n).filter(|&s| !self.instant[s]).collect();
         let fixed: Vec<bool> = (0..n).map(|s| !self.instant[s]).collect();
         let mut h = vec![0.0f64; n];
@@ -629,6 +819,18 @@ impl Ctmdp {
             iterations: max_iterations,
             residual: span,
         })
+    }
+}
+
+/// The reward structure of a long-run query.
+struct Reward<'a> {
+    rate: &'a [f64],
+    impulse: Option<&'a [Vec<f64>]>,
+}
+
+impl Reward<'_> {
+    fn impulse_of(&self, s: State, a: usize) -> f64 {
+        self.impulse.map_or(0.0, |imp| imp[s][a])
     }
 }
 
@@ -824,6 +1026,73 @@ mod tests {
             matches!(err, Err(CtmcError::NoConvergence { .. })),
             "Zeno cycle must not converge: {err:?}"
         );
+    }
+
+    /// Two disjoint flip-flops, each with a choice of rates: states 0–1
+    /// with 0→1 at rate 1 or 4, and 2–3 with 2→3 at rate 3 or 12 (1→0 at 1,
+    /// 3→2 at 3). Occupancy of {0, 2} is 1/2 for the slow choices and 1/5
+    /// for the fast ones in both classes.
+    fn twin_flip_flops() -> Ctmdp {
+        let mut m = Ctmdp::new(4);
+        for (a, b, slow) in [(0, 1, 1.0), (2, 3, 3.0)] {
+            m.add_choice(a, ActionChoice { name: None, transitions: vec![(b, slow)] });
+            m.add_choice(a, ActionChoice { name: None, transitions: vec![(b, 4.0 * slow)] });
+            m.add_choice(b, ActionChoice { name: None, transitions: vec![(a, slow)] });
+        }
+        m
+    }
+
+    #[test]
+    fn closed_classes_with_equal_gains_solve() {
+        let m = twin_flip_flops();
+        let occ = [1.0, 0.0, 1.0, 0.0];
+        let lo = m.long_run_average(&occ, None, Opt::Min, 1e-12, 100).unwrap();
+        let hi = m.long_run_average(&occ, None, Opt::Max, 1e-12, 100).unwrap();
+        assert!((lo - 0.2).abs() < 1e-12, "{lo}");
+        assert!((hi - 0.5).abs() < 1e-12, "{hi}");
+    }
+
+    #[test]
+    fn closed_classes_with_unequal_gains_are_refused() {
+        // Only the first class's state 0 counts: the classes' gains differ.
+        let m = twin_flip_flops();
+        let occ = [1.0, 0.0, 0.0, 0.0];
+        for opt in [Opt::Min, Opt::Max] {
+            match m.long_run_average(&occ, None, opt, 1e-12, 100) {
+                Err(CtmcError::NoConvergence { what, residual, .. }) => {
+                    assert!(what.contains("unequal gains"), "{what}");
+                    assert!(residual > 0.1, "the gain gap is reported: {residual}");
+                }
+                other => panic!("{opt:?}: a multichain answer must be refused: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn policy_iteration_cap_overrun_is_refused() {
+        // The doc example: the max policy needs one switch, so one
+        // evaluation is not enough and two are.
+        let mut m = Ctmdp::new(2);
+        m.add_choice(0, ActionChoice { name: None, transitions: vec![(1, 2.0)] });
+        m.add_choice(0, ActionChoice { name: None, transitions: vec![(1, 1.0)] });
+        m.add_choice(1, ActionChoice { name: None, transitions: vec![(0, 1.0)] });
+        let occ = [1.0, 0.0];
+        let err = m.long_run_average(&occ, None, Opt::Max, 1e-12, 1);
+        assert!(
+            matches!(err, Err(CtmcError::NoConvergence { iterations: 1, .. })),
+            "one evaluation cannot finish: {err:?}"
+        );
+        let hi = m.long_run_average(&occ, None, Opt::Max, 1e-12, 2).unwrap();
+        assert!((hi - 0.5).abs() < 1e-12, "{hi}");
+    }
+
+    #[test]
+    fn absorbing_tangible_state_gains_its_reward_rate() {
+        // 0 → 1 (rate 1), and 1 absorbs: the long-run occupancy of 1 is 1.
+        let mut m = Ctmdp::new(2);
+        m.add_choice(0, ActionChoice { name: None, transitions: vec![(1, 1.0)] });
+        let g = m.long_run_average(&[0.0, 1.0], None, Opt::Max, 1e-12, 100).unwrap();
+        assert!((g - 1.0).abs() < 1e-15, "{g}");
     }
 
     #[test]

@@ -2,19 +2,26 @@
 //!
 //! The long-run distribution of a CTMC is computed per *bottom strongly
 //! connected component* (BSCC): within each BSCC the stationary equations
-//! πQ = 0 are solved by Gauss–Seidel sweeps; across BSCCs the long-run mass
-//! is the probability of absorption into each BSCC from the initial
-//! distribution, computed by iterating the embedded jump chain.
+//! πQ = 0 are solved directly by sparse GTH elimination ([`crate::gth`]),
+//! and the answer is checked by its scaled residual; across BSCCs the
+//! long-run mass is the probability of absorption into each BSCC from the
+//! initial distribution, computed by iterating the embedded jump chain.
 
 use crate::ctmc::{Ctmc, CtmcError, State};
+use crate::gth::Gth;
 use crate::sparse::Csr;
 
-/// Options for the iterative solvers.
+/// Options for the solvers.
 #[derive(Debug, Clone, Copy)]
 pub struct SolveOptions {
-    /// Convergence threshold on the max-norm of successive iterates.
+    /// Accuracy demanded of an answer. A direct BSCC solve is refused when
+    /// its scaled residual `max|πQ| / max_s π(s)·E(s)` exceeds it; the
+    /// iterative stages (absorption into the BSCCs, and power iteration on
+    /// a BSCC whose elimination would over-fill) stop once successive
+    /// iterates differ by less than it in the max-norm.
     pub tolerance: f64,
-    /// Iteration cap.
+    /// Iteration cap of the iterative stages. The direct solve does not
+    /// iterate.
     pub max_iterations: usize,
 }
 
@@ -109,21 +116,91 @@ pub(crate) fn bottom_sccs(csr: &Csr, scc_of: &[u32], num_sccs: u32) -> Vec<bool>
 }
 
 /// Steady-state distribution of an *irreducible* sub-chain given by
-/// `members` (states of one BSCC). Solves πQ = 0, Σπ = 1 by Gauss–Seidel on
-/// the balance equations π(s)·E(s) = Σ_{s'→s} π(s')·rate(s'→s).
-fn solve_bscc(csr: &Csr, members: &[State], options: &SolveOptions) -> Result<Vec<f64>, CtmcError> {
+/// `members` (states of one BSCC), by GTH elimination; `local` is scratch
+/// of one entry per chain state. Falls back to uniformized power iteration
+/// when the elimination would over-fill.
+fn solve_bscc(
+    csr: &Csr,
+    members: &[State],
+    local: &mut [u32],
+    gth: &mut Gth,
+    options: &SolveOptions,
+) -> Result<Vec<f64>, CtmcError> {
     let m = members.len();
     if m == 1 {
         return Ok(vec![1.0]);
     }
-    let local: std::collections::HashMap<State, usize> =
-        members.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-    // Local uniformized transition structure P = I + Q/Λ in CSR form: the
-    // stationary distribution of the CTMC equals the stationary distribution
-    // of P, and the slack above the maximum exit rate gives every state a
-    // self-loop, so the chain is aperiodic and power iteration converges
-    // geometrically (the balance-equation Gauss–Seidel can oscillate on
-    // long phase cycles, e.g. Erlang-decorated models).
+    for (i, &s) in members.iter().enumerate() {
+        local[s] = i as u32;
+    }
+    gth.reset(m);
+    for (i, &s) in members.iter().enumerate() {
+        let (cols, rates) = csr.row(s);
+        // BSCC: targets stay inside.
+        gth.add_row(i, cols.iter().zip(rates).map(|(&c, &r)| (local[c as usize] as usize, r)));
+    }
+    if gth.eliminate(&mut [], 0).is_err() {
+        return power_iteration(csr, members, local, options);
+    }
+    debug_assert_eq!(gth.roots().len(), 1, "a BSCC is one closed class");
+    let mut pi = vec![0.0; m];
+    gth.stationary(&mut pi);
+    let total: f64 = pi.iter().sum();
+    for p in &mut pi {
+        *p /= total;
+    }
+    check_residual(csr, members, local, pi, options)
+}
+
+/// Returns `pi` if its scaled residual `max_j |(πQ)(j)| / max_s π(s)·E(s)`
+/// is within `options.tolerance`, and [`CtmcError::NoConvergence`] naming
+/// the residual otherwise. `pi` is indexed like `members`, mapped by
+/// `local`.
+fn check_residual(
+    csr: &Csr,
+    members: &[State],
+    local: &[u32],
+    pi: Vec<f64>,
+    options: &SolveOptions,
+) -> Result<Vec<f64>, CtmcError> {
+    let mut balance = vec![0.0; members.len()];
+    let mut scale = 0.0f64;
+    for (i, &s) in members.iter().enumerate() {
+        let (cols, rates) = csr.row(s);
+        let mut outflow = 0.0;
+        for (&c, &r) in cols.iter().zip(rates) {
+            let j = local[c as usize] as usize;
+            if j != i {
+                balance[j] += pi[i] * r;
+                outflow += pi[i] * r;
+            }
+        }
+        balance[i] -= outflow;
+        scale = scale.max(outflow);
+    }
+    let residual = balance.iter().map(|b| b.abs()).fold(0.0, f64::max) / scale;
+    if residual.is_nan() || residual > options.tolerance {
+        return Err(CtmcError::NoConvergence {
+            what: "steady-state GTH elimination (scaled residual check)",
+            iterations: 1,
+            residual,
+        });
+    }
+    Ok(pi)
+}
+
+/// Uniformized power iteration on one BSCC: the bail-out for chains whose
+/// elimination would over-fill. The stationary distribution of the CTMC
+/// equals that of `P = I + Q/Λ`, and the slack above the maximum exit rate
+/// gives every state a self-loop, so the chain is aperiodic and the
+/// iteration converges geometrically.
+fn power_iteration(
+    csr: &Csr,
+    members: &[State],
+    local: &[u32],
+    options: &SolveOptions,
+) -> Result<Vec<f64>, CtmcError> {
+    let m = members.len();
     let mut row_ptr = Vec::with_capacity(m + 1);
     let mut col: Vec<u32> = Vec::new();
     let mut rate: Vec<f64> = Vec::new();
@@ -132,8 +209,7 @@ fn solve_bscc(csr: &Csr, members: &[State], options: &SolveOptions) -> Result<Ve
     for (i, &s) in members.iter().enumerate() {
         let (cols, rates) = csr.row(s);
         for (&c, &r) in cols.iter().zip(rates) {
-            let j = local[&(c as State)]; // BSCC: targets stay inside
-            col.push(j as u32);
+            col.push(local[c as usize]);
             rate.push(r);
             exit[i] += r;
         }
@@ -241,7 +317,8 @@ fn absorption_probabilities(
 /// # Errors
 ///
 /// Returns [`CtmcError::NoConvergence`] if an iterative stage exceeds its
-/// iteration cap.
+/// iteration cap, or a direct BSCC solve's scaled residual exceeds
+/// `options.tolerance`.
 ///
 /// # Examples
 ///
@@ -272,11 +349,13 @@ pub fn steady_state(ctmc: &Ctmc, options: &SolveOptions) -> Result<Vec<f64>, Ctm
         members[scc_of[s] as usize].push(s);
     }
     let mut pi = vec![0.0; ctmc.num_states()];
+    let mut index = vec![0u32; ctmc.num_states()];
+    let mut gth = Gth::default();
     for c in 0..num_sccs as usize {
         if !bottom[c] || absorbed[c] <= 0.0 {
             continue;
         }
-        let local = solve_bscc(&csr, &members[c], options)?;
+        let local = solve_bscc(&csr, &members[c], &mut index, &mut gth, options)?;
         for (i, &s) in members[c].iter().enumerate() {
             pi[s] = absorbed[c] * local[i];
         }
@@ -352,6 +431,30 @@ mod tests {
                     "λ={lambda} μ={mu} K={k}: π[{i}] = {got}, want {want}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn residual_check_refuses_a_corrupted_solution() {
+        let c = mm1k(1.0, 2.0, 4);
+        let csr = Csr::new(&c);
+        let members: Vec<State> = (0..5).collect();
+        let local: Vec<u32> = (0..5).collect();
+        let opts = SolveOptions::default();
+        let pi = steady_state(&c, &opts).expect("solves");
+        let tight = SolveOptions { tolerance: 1e-14, ..opts };
+        let good = check_residual(&csr, &members, &local, pi.clone(), &tight).expect("passes");
+        assert_eq!(good, pi);
+        // Move 1e-9 of mass from the last state to the first.
+        let mut bad = pi;
+        bad[0] += 1e-9;
+        bad[4] -= 1e-9;
+        match check_residual(&csr, &members, &local, bad, &opts) {
+            Err(CtmcError::NoConvergence { what, residual, .. }) => {
+                assert!(what.contains("residual"), "{what}");
+                assert!(residual > 1e-10, "residual {residual:e}");
+            }
+            other => panic!("corrupted π must be refused: {other:?}"),
         }
     }
 

@@ -120,7 +120,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// Decompresses exactly `expected_len` bytes, or returns `None` when the
 /// stream is malformed (truncated, bad offset, or wrong decoded length).
 /// Never panics, and never allocates more than the input can decode to:
-/// an `expected_len` beyond [`MAX_EXPANSION`] bytes per input byte is
+/// an `expected_len` beyond `MAX_EXPANSION` bytes per input byte is
 /// refused up front.
 pub fn decompress(input: &[u8], expected_len: usize) -> Option<Vec<u8>> {
     if expected_len > input.len().saturating_mul(MAX_EXPANSION) {

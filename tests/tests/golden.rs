@@ -10,6 +10,9 @@
 use multival::ctmc::absorb::mean_time_to_target;
 use multival::ctmc::steady::{steady_state, SolveOptions};
 use multival::ctmc::{McOptions, McRun, McSim, Workers};
+use multival::imc::decorate::decorate_by_label_with_map;
+use multival::imc::to_ctmc::{to_ctmc, NondetPolicy};
+use multival::imc::Delay;
 use multival::lts::io::{read_blts, write_aut, write_blts};
 use multival::lts::pipeline::{monolithic, run_pipeline, Network, PipelineOptions};
 use multival::models::common::explore_model;
@@ -121,6 +124,33 @@ fn xstream_pipeline_golden() {
             e.mean,
             e.half_width
         );
+    }
+}
+
+/// The direct steady-state solve is checked by its scaled residual against
+/// `SolveOptions::tolerance` (1e-12 by default). The committed pipeline
+/// passes with two orders of magnitude to spare, including its stiffest
+/// sweep points: a transfer fitted by Erlang k = 42 (the `det:0.25` fit)
+/// against producer, consumer and credit rates near 1.
+#[test]
+fn steady_solves_pass_the_residual_check_with_margin() {
+    let tight = SolveOptions { tolerance: 1e-14, ..SolveOptions::default() };
+    let conv = perf_conversion(&PerfConfig::default()).expect("converts");
+    steady_state(&conv.ctmc, &tight).expect("default rates");
+    for push_capacity in [1, 2, 3] {
+        let config = PerfConfig { push_capacity, ..PerfConfig::default() };
+        let explored = explore_pipeline(&config).expect("explores");
+        let (imc, _) = decorate_by_label_with_map(&explored.lts, |label| match label {
+            "push" => Some(Delay::Exponential { rate: config.producer_rate }),
+            "xfer" => Some(Delay::fixed(1.0 / config.transfer_rate, 42)),
+            "pop" => Some(Delay::Exponential { rate: config.consumer_rate }),
+            "credit" => Some(Delay::Exponential { rate: config.credit_rate }),
+            _ => None,
+        });
+        let conv = to_ctmc(&imc, NondetPolicy::Reject, &["push", "xfer", "pop", "credit"])
+            .expect("converts");
+        steady_state(&conv.ctmc, &tight)
+            .unwrap_or_else(|e| panic!("push capacity {push_capacity}: {e}"));
     }
 }
 
