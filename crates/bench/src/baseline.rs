@@ -18,7 +18,6 @@ use multival::lts::pipeline::{
     monolithic, run_pipeline, Network, PipelineOptions as ReduceOptions,
 };
 use multival::lts::reach::{deadlock_search, ReachOptions};
-use multival::lts::store::{StoreConfig, StoreKind};
 use multival::lts::ts::LazyProduct;
 use multival::lts::Lts;
 use multival::models::fame2::network::ping_pong_network;
@@ -368,10 +367,10 @@ fn full_mode() -> bool {
 }
 
 /// The `state_store` section: one flat exploration of the pool-throttled
-/// bit-complement mesh per dedup backend. All three must agree on the
-/// state/transition counts (the differential suite separately pins byte
-/// equality); the spill row runs under a stated memory budget tight
-/// enough to page key segments to disk. Keys are packed leaf-id vectors,
+/// bit-complement mesh in the arena store, and one under a stated memory
+/// budget tight enough to page key segments to disk. Both must agree on
+/// the state/transition counts (the differential suite separately pins
+/// byte equality). Keys are packed leaf-id vectors,
 /// one byte per component here (65 on the 4×4 mesh, ~30 MiB in all;
 /// 34 on the 3×3, ~52 KiB), so the budgets sit below those totals.
 fn state_store_section(full: bool) -> Result<String, Box<dyn Error>> {
@@ -384,19 +383,18 @@ fn state_store_section(full: bool) -> Result<String, Box<dyn Error>> {
         ..ExploreOptions::default()
     };
     let mut out = String::from("  \"state_store\": [\n");
-    let kinds = StoreKind::ALL;
-    for (i, &kind) in kinds.iter().enumerate() {
-        let config = StoreConfig { kind, mem_budget: (kind == StoreKind::Spill).then_some(budget) };
+    let rows = [("arena", None), ("spill", Some(budget))];
+    for (i, &(backend, mem_budget)) in rows.iter().enumerate() {
         let start = Instant::now();
-        let run = explore_term_store_partial(spec.top().clone(), &spec, &opts, &config);
+        let run = explore_term_store_partial(spec.top().clone(), &spec, &opts, mem_budget);
         let wall = start.elapsed();
         assert!(run.aborted.is_none(), "{model} exploration aborted: {:?}", run.aborted);
         let _ = write!(
             out,
-            "    {{\"model\": \"{model}\", \"backend\": \"{kind}\", \"mem_budget\": {}, \
+            "    {{\"model\": \"{model}\", \"backend\": \"{backend}\", \"mem_budget\": {}, \
              \"states\": {}, \"transitions\": {}, \"wall_ms\": {}, \
              \"resident_bytes\": {}, \"spilled_bytes\": {}, \"spilled_segments\": {}}}",
-            config.mem_budget.map_or("null".to_owned(), |b| b.to_string()),
+            mem_budget.map_or("null".to_owned(), |b| b.to_string()),
             run.lts.num_states(),
             run.lts.num_transitions(),
             ms(wall),
@@ -404,7 +402,7 @@ fn state_store_section(full: bool) -> Result<String, Box<dyn Error>> {
             run.store.spilled_bytes,
             run.store.spilled_segments
         );
-        out.push_str(if i + 1 < kinds.len() { ",\n" } else { "\n" });
+        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
     Ok(out)
@@ -536,7 +534,7 @@ fn pipeline_reduction_section(full: bool) -> String {
         let state_budget = 4_000_000;
         let options = ReduceOptions {
             max_states: Some(state_budget),
-            store: StoreConfig { kind: StoreKind::Spill, mem_budget: Some(mem_budget) },
+            mem_budget: Some(mem_budget),
             ..ReduceOptions::default()
         };
         let start = Instant::now();
@@ -767,17 +765,17 @@ mod tests {
                 "on-the-fly visited no fewer states: {entry}"
             );
         }
-        // All three dedup backends must agree on the explored space, and
-        // the tight fast-mode budget must actually force the spill
-        // backend to page key segments out.
+        // The arena and spill rows must agree on the explored space, and
+        // the tight fast-mode budget must actually force the store to page
+        // key segments out.
         let store = json.split("\"state_store\"").nth(1).expect("section");
         let states: Vec<&str> = store
             .split("\"states\": ")
             .skip(1)
-            .take(3)
+            .take(2)
             .map(|s| s.split(',').next().expect("number"))
             .collect();
-        assert_eq!(states.len(), 3, "{json}");
+        assert_eq!(states.len(), 2, "{json}");
         assert!(states.windows(2).all(|w| w[0] == w[1]), "backends disagree: {states:?}");
         let spill = store.split("\"backend\": \"spill\"").nth(1).expect("spill row");
         let spilled: usize = spill

@@ -50,9 +50,10 @@ impl Budget {
 
     /// Resolves the timeout into an absolute deadline counted from *now*
     /// (call this when the work starts, not when the flags are parsed).
+    /// A timeout too long for the clock to represent is no deadline.
     #[must_use]
     pub fn deadline(&self) -> Option<Instant> {
-        self.timeout.map(|t| Instant::now() + t)
+        self.timeout.and_then(|t| Instant::now().checked_add(t))
     }
 
     /// The state cap, or `default` when unset.
@@ -150,5 +151,12 @@ mod tests {
         let d = b.deadline().expect("deadline set");
         assert!(d > Instant::now());
         assert!(d <= Instant::now() + Duration::from_secs(3));
+    }
+
+    #[test]
+    fn unrepresentable_timeout_is_no_deadline() {
+        let b = Budget::default().with_timeout_secs(u64::MAX);
+        assert_eq!(b.timeout, Some(Duration::from_secs(u64::MAX)));
+        assert!(b.deadline().is_none());
     }
 }

@@ -104,7 +104,7 @@ impl fmt::Display for CmdOut {
 pub enum Command {
     /// `explore <model.lot> [--aut out.aut] [--blts out.blts] [--dot out.dot]
     /// [--max-states N] [--timeout-secs T] [--on-the-fly]
-    /// [--store hash|arena|spill] [--mem-budget BYTES]`
+    /// [--mem-budget BYTES]`
     Explore {
         /// Input model path.
         input: String,
@@ -118,10 +118,8 @@ pub enum Command {
         budget: Budget,
         /// Scan the state space on the fly instead of materializing it.
         on_the_fly: bool,
-        /// Dedup states through this store backend instead of the
-        /// term-retaining index (`None` = classic exploration).
-        store: Option<multival_lts::StoreKind>,
-        /// Resident-memory budget for the spill backend, in bytes.
+        /// Resident-memory budget in bytes for the state store, which
+        /// spills to disk past it.
         mem_budget: Option<usize>,
     },
     /// `check <model.lot|lts.aut> <formula> [--max-states N]
@@ -157,8 +155,8 @@ pub enum Command {
     },
     /// `reduce <model.lot> [--eq strong|branching] [--order smart|given|seed:N]
     /// [--aut out.aut] [--checkpoint DIR] [--max-states N]
-    /// [--timeout-secs T]` — compositional reduction over the model's
-    /// component network.
+    /// [--timeout-secs T] [--mem-budget BYTES]` — compositional reduction
+    /// over the model's component network.
     Reduce {
         /// Input model path (mini-LOTOS with a parallel top behaviour).
         input: String,
@@ -174,9 +172,8 @@ pub enum Command {
         checkpoint: Option<String>,
         /// Cap on intermediate products / wall-clock deadline.
         budget: Budget,
-        /// Stage products dedup through this store backend.
-        store: Option<multival_lts::StoreKind>,
-        /// Resident-memory budget for the spill backend, in bytes.
+        /// Resident-memory budget in bytes for each stage product's state
+        /// store, which spills to disk past it.
         mem_budget: Option<usize>,
     },
     /// `compare <a> <b> [--eq strong|branching|traces] [--on-the-fly]`
@@ -293,7 +290,7 @@ pub enum Command {
     },
     /// `fuzz [--seeds A..B] [--corpus DIR] [--max-states N]
     /// [--timeout-secs T] [--max-steps N] [--max-colors N] [--max-cap N]
-    /// [--inject-flip] [--store hash|arena|spill] [--mem-budget BYTES]` —
+    /// [--inject-flip] [--mem-budget BYTES]` —
     /// differential fuzzing over generated xMAS fabrics.
     Fuzz {
         /// Seed range, start inclusive, end exclusive.
@@ -311,9 +308,8 @@ pub enum Command {
         /// Plant the switch-polarity renderer bug (harness self-test: the
         /// sweep must then report mismatches).
         inject_flip: bool,
-        /// Stage products dedup through this store backend.
-        store: Option<multival_lts::StoreKind>,
-        /// Resident-memory budget for the spill backend, in bytes.
+        /// Resident-memory budget in bytes for each stage product's state
+        /// store, which spills to disk past it.
         mem_budget: Option<usize>,
     },
     /// `help`
@@ -355,7 +351,7 @@ USAGE:
   multival explore  <model.lot> [--aut OUT] [--blts OUT] [--dot OUT]
                     [--max-states N] [--timeout-secs T]
                     [--on-the-fly]  (scan without materializing the LTS)
-                    [--store hash|arena|spill] [--mem-budget BYTES]
+                    [--mem-budget BYTES]
   multival check    <model.lot|lts.aut> <FORMULA> [--max-states N]
                     [--timeout-secs T] [--on-the-fly]
                     [--rate GATE=RATE ...] [--probe GATE ...]
@@ -363,8 +359,7 @@ USAGE:
   multival minimize <model.lot|lts.aut> [--eq strong|branching] [--aut OUT]
   multival reduce   <model.lot> [--eq strong|branching] [--order smart|given|seed:N]
                     [--aut OUT] [--blts OUT] [--checkpoint DIR]
-                    [--max-states N] [--timeout-secs T]
-                    [--store hash|arena|spill] [--mem-budget BYTES]
+                    [--max-states N] [--timeout-secs T] [--mem-budget BYTES]
   multival compare  <A> <B> [--eq strong|branching|traces] [--on-the-fly]
   multival solve    <model.lot> --rate GATE=RATE ... [--probe GATE ...]
   multival simulate <model.lot|lts.aut> --rate GATE=RATE ... [--probe GATE ...]
@@ -378,7 +373,7 @@ USAGE:
   multival fuzz     [--seeds A..B] [--corpus DIR]
                     [--max-states N] [--timeout-secs T]
                     [--max-steps N] [--max-colors N] [--max-cap N]
-                    [--inject-flip] [--store hash|arena|spill] [--mem-budget BYTES]
+                    [--inject-flip] [--mem-budget BYTES]
   multival serve    [--addr HOST:PORT] [--cache-dir DIR] [--workers N]
                     [--queue-cap N] [--cache-capacity N] [--journal DIR]
                     [--event-threads N]
@@ -401,12 +396,11 @@ interval straddles the threshold. simulate --scheduler bounds prints the
 per-state occupancy interval over all schedulers next to the sampled
 estimates, which must fall inside it.
 
---store picks the state-dedup backend for explore/reduce: `hash` retains a
-term per state (the classic layout), `arena` packs state keys into a
-contiguous arena with a fingerprint index, and `spill` additionally pages
-sealed arena segments to a temp file once resident bytes exceed
---mem-budget (accepts k/m/g suffixes). Every backend produces byte-identical
-output.
+--mem-budget BYTES (accepts k/m/g suffixes) bounds the resident state store
+of explore/reduce/fuzz: packed state keys live in a contiguous arena with a
+fingerprint index, and sealed arena segments are paged to a temp file once
+resident bytes exceed the budget (explore and reduce then print a `store
+spill` line). Output is byte-identical with or without it.
 
 --on-the-fly walks the implicit transition system instead of generating the
 full LTS first: explore reports visited states, check decides the
@@ -474,7 +468,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut dot = None;
             let mut budget = Budget::default();
             let mut on_the_fly = false;
-            let mut store = None;
             let mut mem_budget = None;
             while let Some(a) = it.next() {
                 match a {
@@ -484,7 +477,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--max-states" => budget.max_states = Some(parse_flag(&mut it, a)?),
                     "--timeout-secs" => budget = budget.with_timeout_secs(parse_flag(&mut it, a)?),
                     "--on-the-fly" => on_the_fly = true,
-                    "--store" => store = Some(parse_store(&next_value(&mut it, "--store")?)?),
                     "--mem-budget" => {
                         mem_budget = Some(parse_mem(&next_value(&mut it, "--mem-budget")?)?)
                     }
@@ -502,9 +494,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                             the on-the-fly scan is bounded by --max-states"
                     .to_owned());
             }
-            if on_the_fly && store.is_some() {
-                return Err("--store applies to materializing exploration; \
-                            the on-the-fly scan keeps no state table to back"
+            if on_the_fly && mem_budget.is_some() {
+                return Err("--mem-budget applies to materializing exploration; \
+                            the on-the-fly scan keeps no state table to page"
                     .to_owned());
             }
             Ok(Command::Explore {
@@ -514,7 +506,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 dot,
                 budget,
                 on_the_fly,
-                store,
                 mem_budget,
             })
         }
@@ -591,7 +582,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut blts = None;
             let mut checkpoint = None;
             let mut budget = Budget::default();
-            let mut store = None;
             let mut mem_budget = None;
             while let Some(a) = it.next() {
                 match a {
@@ -608,7 +598,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--checkpoint" => checkpoint = Some(next_value(&mut it, "--checkpoint")?),
                     "--max-states" => budget.max_states = Some(parse_flag(&mut it, a)?),
                     "--timeout-secs" => budget = budget.with_timeout_secs(parse_flag(&mut it, a)?),
-                    "--store" => store = Some(parse_store(&next_value(&mut it, "--store")?)?),
                     "--mem-budget" => {
                         mem_budget = Some(parse_mem(&next_value(&mut it, "--mem-budget")?)?)
                     }
@@ -624,7 +613,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 blts,
                 checkpoint,
                 budget,
-                store,
                 mem_budget,
             })
         }
@@ -673,7 +661,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut max_colors = 2usize;
             let mut max_cap = 2usize;
             let mut inject_flip = false;
-            let mut store = None;
             let mut mem_budget = None;
             while let Some(a) = it.next() {
                 match a {
@@ -685,7 +672,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--max-colors" => max_colors = parse_flag(&mut it, a)?,
                     "--max-cap" => max_cap = parse_flag(&mut it, a)?,
                     "--inject-flip" => inject_flip = true,
-                    "--store" => store = Some(parse_store(&next_value(&mut it, "--store")?)?),
                     "--mem-budget" => {
                         mem_budget = Some(parse_mem(&next_value(&mut it, "--mem-budget")?)?)
                     }
@@ -700,7 +686,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 max_colors,
                 max_cap,
                 inject_flip,
-                store,
                 mem_budget,
             })
         }
@@ -952,13 +937,6 @@ fn parse_scheduler(value: &str) -> Result<Scheduler, String> {
             Err(format!("unknown scheduler `{other}` (expected min, max, bounds, or uniform)"))
         }
     }
-}
-
-/// Parses a `--store` value: `hash`, `arena`, or `spill`.
-fn parse_store(value: &str) -> Result<multival_lts::StoreKind, String> {
-    value
-        .parse()
-        .map_err(|_| format!("unknown store backend `{value}` (expected hash, arena, or spill)"))
 }
 
 /// Parses a `--mem-budget` value: plain bytes, or with a `k`/`m`/`g`
@@ -1407,7 +1385,7 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
         Command::ExploreSpace { .. } => Err("`multival explore-space` is provided by the full \
              `multival` binary (crate multival-svc); the core library only parses the verb"
             .into()),
-        Command::Explore { input, aut, blts, dot, budget, on_the_fly, store, mem_budget } => {
+        Command::Explore { input, aut, blts, dot, budget, on_the_fly, mem_budget } => {
             let mut out = String::new();
             let mut status = CmdStatus::Ok;
             let max_states = budget.max_states_or(1_000_000);
@@ -1444,34 +1422,23 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                 if let Some(deadline) = budget.deadline() {
                     options = options.with_deadline(deadline);
                 }
-                if store.is_some() || mem_budget.is_some() {
-                    // Store-backed exploration: states are deduplicated on
-                    // packed bytes in the selected backend instead of a term
-                    // table, trading CPU for a bounded resident footprint.
-                    let kind = store.unwrap_or_default();
-                    let config = multival_lts::store::StoreConfig { kind, mem_budget: *mem_budget };
-                    let run = multival_pa::explore_term_store_partial(
-                        spec.top().clone(),
-                        &spec,
-                        &options,
-                        &config,
-                    );
-                    if let Some(err) = &run.aborted {
-                        let _ = writeln!(out, "warning: exploration aborted: {err}");
-                        let _ = writeln!(out, "Budget exceeded; reporting the partial state space");
-                        status = CmdStatus::BudgetExceeded;
-                    }
-                    out.push_str(&StoreReport { kind, stats: run.store }.render());
-                    run.lts
-                } else {
-                    let exploration = explore_partial(&spec, &options);
-                    if let Some(err) = &exploration.aborted {
-                        let _ = writeln!(out, "warning: exploration aborted: {err}");
-                        let _ = writeln!(out, "Budget exceeded; reporting the partial state space");
-                        status = CmdStatus::BudgetExceeded;
-                    }
-                    exploration.explored.lts
+                // No term is kept per state: the packed state keys live in
+                // the arena, or spill to disk past a memory budget.
+                let run = multival_pa::explore_term_store_partial(
+                    spec.top().clone(),
+                    &spec,
+                    &options,
+                    *mem_budget,
+                );
+                if let Some(err) = &run.aborted {
+                    let _ = writeln!(out, "warning: exploration aborted: {err}");
+                    let _ = writeln!(out, "Budget exceeded; reporting the partial state space");
+                    status = CmdStatus::BudgetExceeded;
                 }
+                if mem_budget.is_some() {
+                    out.push_str(&StoreReport { stats: run.store }.render());
+                }
+                run.lts
             };
             let _ = writeln!(out, "{}", lts.summary());
             let deadlocks = lts.deadlock_states();
@@ -1553,7 +1520,7 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
             }
             Ok(out.into())
         }
-        Command::Reduce { input, eq, order, aut, blts, checkpoint, budget, store, mem_budget } => {
+        Command::Reduce { input, eq, order, aut, blts, checkpoint, budget, mem_budget } => {
             use multival_lts::pipeline::PipelineOptions;
             if is_lts_file(input) {
                 return Err("reduce needs a mini-LOTOS model: a .aut/.blts file has no \
@@ -1573,10 +1540,7 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                 max_states: budget.max_states,
                 deadline: budget.deadline(),
                 checkpoint_dir: checkpoint.as_ref().map(std::path::PathBuf::from),
-                store: multival_lts::store::StoreConfig {
-                    kind: store.unwrap_or_default(),
-                    mem_budget: *mem_budget,
-                },
+                mem_budget: *mem_budget,
             };
             let run = multival_lts::pipeline::run_pipeline(&network, &options);
             let mut out = String::new();
@@ -1607,6 +1571,9 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                 resumed_stages: run.resumed_stages,
             };
             out.push_str(&stats.render());
+            if mem_budget.is_some() {
+                out.push_str(&StoreReport { stats: run.store }.render());
+            }
             let mut status = CmdStatus::Ok;
             if let Some(reason) = &run.abort {
                 let _ = writeln!(out, "warning: pipeline aborted: {reason}");
@@ -1654,7 +1621,6 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
             max_colors,
             max_cap,
             inject_flip,
-            store,
             mem_budget,
         } => {
             let options = crate::fuzz::FuzzOptions {
@@ -1670,10 +1636,7 @@ pub fn execute(cmd: &Command) -> Result<CmdOut, Box<dyn Error>> {
                 },
                 inject_flip: *inject_flip,
                 max_shrink_rounds: 64,
-                store: multival_lts::store::StoreConfig {
-                    kind: store.unwrap_or_default(),
-                    mem_budget: *mem_budget,
-                },
+                mem_budget: *mem_budget,
             };
             let report = crate::fuzz::run_fuzz(&options);
             let mut out = report.render();
@@ -1892,7 +1855,6 @@ mod tests {
                 dot: None,
                 budget: Budget::default(),
                 on_the_fly: false,
-                store: None,
                 mem_budget: None,
             }
         );
@@ -1922,7 +1884,6 @@ mod tests {
                 max_colors: 2,
                 max_cap: 2,
                 inject_flip: false,
-                store: None,
                 mem_budget: None,
             }
         );
@@ -1943,8 +1904,8 @@ mod tests {
             "--max-cap",
             "1",
             "--inject-flip",
-            "--store",
-            "arena",
+            "--mem-budget",
+            "4k",
         ]))
         .expect("parses");
         assert_eq!(
@@ -1957,8 +1918,7 @@ mod tests {
                 max_colors: 3,
                 max_cap: 1,
                 inject_flip: true,
-                store: Some(multival_lts::StoreKind::Arena),
-                mem_budget: None,
+                mem_budget: Some(4096),
             }
         );
 
@@ -2015,7 +1975,6 @@ mod tests {
             dot: None,
             budget: Budget::default().with_max_states(1000),
             on_the_fly: true,
-            store: None,
             mem_budget: None,
         })
         .expect("explore");
@@ -2473,7 +2432,6 @@ mod tests {
                 blts: None,
                 checkpoint: None,
                 budget: Budget::default(),
-                store: None,
                 mem_budget: None,
             }
         );
@@ -2492,8 +2450,6 @@ mod tests {
             "100",
             "--blts",
             "out.blts",
-            "--store",
-            "spill",
             "--mem-budget",
             "64m",
         ]))
@@ -2508,7 +2464,6 @@ mod tests {
                 blts: Some("out.blts".into()),
                 checkpoint: Some("ckpt".into()),
                 budget: Budget::default().with_max_states(100),
-                store: Some(multival_lts::StoreKind::Spill),
                 mem_budget: Some(64 << 20),
             }
         );
@@ -2518,14 +2473,8 @@ mod tests {
 
     #[test]
     fn parses_store_flags() {
-        use multival_lts::StoreKind;
-        let cmd =
-            parse_args(&args(&["explore", "m.lot", "--store", "arena", "--mem-budget", "512k"]))
-                .expect("parses");
-        assert!(matches!(
-            cmd,
-            Command::Explore { store: Some(StoreKind::Arena), mem_budget: Some(524_288), .. }
-        ));
+        let cmd = parse_args(&args(&["explore", "m.lot", "--mem-budget", "512k"])).expect("parses");
+        assert!(matches!(cmd, Command::Explore { mem_budget: Some(524_288), .. }));
         // Plain bytes and every suffix case parse; garbage does not.
         assert_eq!(parse_mem("123"), Ok(123));
         assert_eq!(parse_mem("2K"), Ok(2048));
@@ -2533,11 +2482,9 @@ mod tests {
         assert!(parse_mem("").is_err());
         assert!(parse_mem("12q").is_err());
         assert!(parse_mem("m").is_err());
-        assert!(parse_store("hash").is_ok() && parse_store("spill").is_ok());
-        assert!(parse_store("disk").is_err());
-        // The scan keeps no state table, so --store conflicts with it.
+        // The scan keeps no state table, so a memory budget conflicts with it.
         assert!(
-            parse_args(&args(&["explore", "m.lot", "--on-the-fly", "--store", "hash"])).is_err()
+            parse_args(&args(&["explore", "m.lot", "--on-the-fly", "--mem-budget", "1m"])).is_err()
         );
         assert!(
             parse_args(&args(&["explore", "m.lot", "--on-the-fly", "--blts", "o.blts"])).is_err()
@@ -2567,7 +2514,6 @@ mod tests {
             blts: None,
             checkpoint: None,
             budget: Budget::default(),
-            store: None,
             mem_budget: None,
         };
         let out = execute(&reduce(Order::Smart, "smart.aut")).expect("reduce");
@@ -2594,7 +2540,6 @@ mod tests {
             blts: None,
             checkpoint: None,
             budget: Budget::default().with_max_states(1),
-            store: None,
             mem_budget: None,
         })
         .expect("reduce");
@@ -2611,7 +2556,6 @@ mod tests {
             blts: None,
             checkpoint: None,
             budget: Budget::default(),
-            store: None,
             mem_budget: None,
         })
         .expect_err("rejects .aut input");
@@ -2638,7 +2582,6 @@ mod tests {
             blts: None,
             checkpoint: Some(ckpt),
             budget: Budget::default(),
-            store: None,
             mem_budget: None,
         };
         let first = execute(&cmd).expect("reduce");
@@ -2673,7 +2616,6 @@ mod tests {
             dot: None,
             budget: Budget::default().with_max_states(10_000),
             on_the_fly: false,
-            store: None,
             mem_budget: None,
         })
         .expect("explore");
@@ -2688,7 +2630,6 @@ mod tests {
             dot: None,
             budget: Budget::default().with_max_states(100),
             on_the_fly: false,
-            store: None,
             mem_budget: None,
         })
         .expect("partial result, not an error");
@@ -2721,7 +2662,6 @@ mod tests {
             dot: None,
             budget: Budget::default().with_max_states(1000),
             on_the_fly: false,
-            store: None,
             mem_budget: None,
         })
         .expect("explore");

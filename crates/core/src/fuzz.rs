@@ -29,7 +29,7 @@ use multival_lts::io::write_aut;
 use multival_lts::minimize::Equivalence;
 use multival_lts::pipeline::{canonicalize, monolithic, run_pipeline, PipelineOptions};
 use multival_lts::reach::deadlock_search;
-use multival_lts::{ReachOptions, StoreConfig, Workers};
+use multival_lts::{ReachOptions, Workers};
 use multival_models::xmas::{generate, render_lot, shrink, Fabric, GenConfig, RenderOptions};
 use multival_pa::{extract_network, parse_spec, ExploreOptions, PaTs};
 use std::collections::HashMap;
@@ -90,8 +90,9 @@ pub struct FuzzOptions {
     pub inject_flip: bool,
     /// Maximum accepted shrink steps per mismatch.
     pub max_shrink_rounds: usize,
-    /// State-store backend for pipeline stage products.
-    pub store: StoreConfig,
+    /// Resident-memory budget of the pipeline stage products' state
+    /// stores; given, they spill to disk past it.
+    pub mem_budget: Option<usize>,
 }
 
 impl Default for FuzzOptions {
@@ -104,7 +105,7 @@ impl Default for FuzzOptions {
             gen: GenConfig::default(),
             inject_flip: false,
             max_shrink_rounds: 64,
-            store: StoreConfig::default(),
+            mem_budget: None,
         }
     }
 }
@@ -306,7 +307,7 @@ fn check_fabric(
         equivalence: Equivalence::Branching,
         max_states: Some(max_states),
         deadline,
-        store: options.store,
+        mem_budget: options.mem_budget,
         ..PipelineOptions::default()
     };
 

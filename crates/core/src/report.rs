@@ -135,13 +135,11 @@ impl FlyStats {
     }
 }
 
-/// Report for the state-store backend of a store-backed exploration or
-/// reduction (`--store arena|spill`).
+/// Report for the spilling state store of an exploration or reduction
+/// run under `--mem-budget`.
 #[derive(Debug, Clone)]
 #[must_use]
 pub struct StoreReport {
-    /// Backend used.
-    pub kind: multival_lts::StoreKind,
     /// Counter snapshot at the end of the run.
     pub stats: multival_lts::StoreStats,
 }
@@ -151,8 +149,7 @@ impl StoreReport {
     pub fn render(&self) -> String {
         let mib = |b: usize| (b as f64) / (1024.0 * 1024.0);
         let mut line = format!(
-            "store {}: {} states, {:.1} MiB keys, {:.1} MiB resident",
-            self.kind,
+            "store spill: {} states, {:.1} MiB keys, {:.1} MiB resident",
             self.stats.states,
             mib(self.stats.key_bytes),
             mib(self.stats.mem_bytes),

@@ -20,9 +20,9 @@
 //!   walks implicit graphs without materializing them;
 //! * [`io`] — Aldebaran `.aut`, compact binary BLTS, and Graphviz `.dot`
 //!   interchange;
-//! * [`store`] — pluggable state stores for million-state frontiers:
-//!   hash-map, packed-arena, and spill-to-disk dedup backends behind one
-//!   [`store::StateStore`] trait;
+//! * [`store`] — the state store for million-state frontiers: a
+//!   packed-arena dedup table that spills to disk under a memory budget,
+//!   behind one [`store::StateStore`] trait;
 //! * [`pipeline`] — the smart compositional reduction pipeline: heuristic
 //!   composition orders, early hiding, per-stage minimization, resumable
 //!   checkpoints, and a canonical serialization for differential testing.
@@ -68,5 +68,5 @@ pub use pipeline::{
     PipelineOptions, PipelineRun, StageStats,
 };
 pub use reach::{ReachOptions, ReachStats, ScanSummary, SearchOutcome};
-pub use store::{make_store, PackState, StateStore, StoreConfig, StoreKind, StoreStats};
+pub use store::{make_store, PackState, StateStore, StoreStats};
 pub use ts::{HideView, LazyProduct, RenameView, TransitionSystem};

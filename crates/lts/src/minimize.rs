@@ -13,7 +13,7 @@
 //! Signatures are interned into blocks in state order, so the resulting
 //! partition, block numbering included, is deterministic.
 
-use crate::lts::{Lts, StateId, Transition};
+use crate::lts::{Lts, StateId};
 use std::collections::HashMap;
 
 /// Which behavioural equivalence to minimize (or compare) modulo.
@@ -442,11 +442,6 @@ pub fn divergent_states(lts: &Lts) -> Vec<StateId> {
 pub fn same_block(lts: &Lts, a: StateId, b: StateId, eq: Equivalence) -> bool {
     let part = partition_refinement(lts, eq);
     part.block(a) == part.block(b)
-}
-
-#[allow(dead_code)]
-fn transition_key(t: &Transition) -> (u32, StateId) {
-    (t.label.0, t.target)
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 
 use crate::label::gate_of;
 use crate::lts::Lts;
-use crate::reach::materialize;
-use crate::store::{make_store, StoreConfig};
+use crate::reach::materialize_store;
+use crate::store::ArenaStore;
 use crate::ts::LazyProduct;
 use std::collections::{HashMap, HashSet};
 
@@ -79,34 +79,20 @@ impl Sync {
 /// assert_eq!(inter.num_states(), 4); // diamond
 /// ```
 pub fn compose(left: &Lts, right: &Lts, sync: &Sync) -> Lts {
-    materialize(&LazyProduct::new(&[left, right], sync))
+    compose_all(&[left, right], sync)
 }
 
 /// N-ary parallel composition of `parts` under a single sync discipline,
 /// exploring the flat product on the fly (every component participates in
-/// each synchronized move, with identical full labels).
+/// each synchronized move, with identical full labels). Visited product
+/// states are deduplicated as packed keys in an [`ArenaStore`].
 ///
 /// # Panics
 ///
 /// Panics if `parts` is empty.
 pub fn compose_all(parts: &[&Lts], sync: &Sync) -> Lts {
     assert!(!parts.is_empty(), "compose_all needs at least one LTS");
-    materialize(&LazyProduct::new(parts, sync))
-}
-
-/// [`compose_all`] over a pluggable [`StateStore`](crate::store::StateStore) backend selected
-/// by `config` — the frontier dedup then lives in a packed arena or
-/// spills to disk instead of a per-state-allocating hash map. The result
-/// is byte-identical to [`compose_all`] for every backend (see
-/// [`crate::reach::materialize_store`]).
-///
-/// # Panics
-///
-/// Panics if `parts` is empty.
-pub fn compose_all_store(parts: &[&Lts], sync: &Sync, config: &StoreConfig) -> Lts {
-    assert!(!parts.is_empty(), "compose_all needs at least one LTS");
-    let mut store = make_store(config);
-    crate::reach::materialize_store(&LazyProduct::new(parts, sync), store.as_mut())
+    materialize_store(&LazyProduct::new(parts, sync), &mut ArenaStore::new())
 }
 
 /// Hides every label whose gate is in `gates`, turning it into τ

@@ -48,7 +48,7 @@ use crate::lts::{Lts, LtsBuilder};
 use crate::minimize::{minimize, Equivalence};
 use crate::ops::{self, Sync};
 use crate::reach::{self, ReachOptions};
-use crate::store::{StoreConfig, StoreKind};
+use crate::store::{make_store, StoreStats};
 use crate::ts::LazyProduct;
 use multival_par::Workers;
 
@@ -193,10 +193,10 @@ pub struct PipelineOptions {
     /// already holds a manifest matching this network and options, the
     /// pipeline resumes from the last completed stage.
     pub checkpoint_dir: Option<PathBuf>,
-    /// State-store backend for the stage products (and memory budget for
-    /// the spill backend). Every backend yields byte-identical results;
-    /// see [`crate::store`].
-    pub store: StoreConfig,
+    /// Resident-memory budget, in bytes, for each stage product's state
+    /// store: given, the store spills sealed key segments to disk past it.
+    /// The result is byte-identical either way; see [`crate::store`].
+    pub mem_budget: Option<usize>,
 }
 
 impl Default for PipelineOptions {
@@ -207,7 +207,7 @@ impl Default for PipelineOptions {
             max_states: None,
             deadline: None,
             checkpoint_dir: None,
-            store: StoreConfig::default(),
+            mem_budget: None,
         }
     }
 }
@@ -288,6 +288,9 @@ pub struct PipelineRun {
     /// Number of leading stages restored from a checkpoint instead of
     /// recomputed.
     pub resumed_stages: usize,
+    /// State-store counters of the stage products computed in this run,
+    /// summed over stages, except `mem_bytes`, which is the largest.
+    pub store: StoreStats,
 }
 
 impl PipelineRun {
@@ -400,6 +403,7 @@ pub fn run_pipeline(network: &Network, options: &PipelineOptions) -> PipelineRun
         stages.iter().flat_map(|s| s.hidden.iter().cloned()).collect();
 
     let mut abort = None;
+    let mut store = StoreStats::default();
     for (k, &idx) in order.iter().enumerate().skip(resumed_stages) {
         if let Some(deadline) = options.deadline {
             if Instant::now() >= deadline {
@@ -418,11 +422,11 @@ pub fn run_pipeline(network: &Network, options: &PipelineOptions) -> PipelineRun
                     break;
                 }
             }
-            if options.store.kind == StoreKind::Hash {
-                ops::compose(prev, comp, &sync)
-            } else {
-                ops::compose_all_store(&[prev, comp], &sync, &options.store)
-            }
+            let mut seen = make_store(options.mem_budget);
+            let product =
+                reach::materialize_store(&LazyProduct::new(&[prev, comp], &sync), seen.as_mut());
+            store.add(&seen.stats());
+            product
         } else {
             if let Some(cap) = options.max_states {
                 if comp.num_states() > cap {
@@ -471,7 +475,7 @@ pub fn run_pipeline(network: &Network, options: &PipelineOptions) -> PipelineRun
             b.build(s)
         }
     };
-    PipelineRun { lts: result, stages, order, abort, resumed_stages }
+    PipelineRun { lts: result, stages, order, abort, resumed_stages, store }
 }
 
 /// The synchronization set for folding a component with alphabet `next`
@@ -1011,22 +1015,29 @@ mod tests {
 
     #[test]
     fn pipeline_is_store_invariant() {
-        let net = chain();
-        let reference = run_pipeline(&net, &PipelineOptions::default());
-        for kind in StoreKind::ALL {
-            // A 1-byte budget forces the spill backend to page everything.
-            let run = run_pipeline(
-                &net,
-                &PipelineOptions {
-                    store: StoreConfig { kind, mem_budget: Some(1) },
-                    ..PipelineOptions::default()
-                },
-            );
-            assert_eq!(
-                write_aut(&run.lts),
-                write_aut(&reference.lts),
-                "store backend {kind} diverged"
-            );
+        // Two interleaved 64-state rings with distinct labels (so stage
+        // minimization keeps them): a 4,096-state product whose keys fill
+        // several spill segments.
+        let ring = |gate: &str| {
+            let labels: Vec<String> = (0..64).map(|i| format!("{gate} !{i}")).collect();
+            let triples: Vec<(u32, &str, u32)> =
+                (0..64).map(|i| (i, labels[i as usize].as_str(), (i + 1) % 64)).collect();
+            lts_from_triples(&triples)
+        };
+        let mut rings = Network::new();
+        rings.add_component("a", ring("a")).add_component("b", ring("b"));
+        // The chain's 30 key bytes never fill a segment; the rings' do.
+        for (net, spills) in [(chain(), false), (rings, true)] {
+            let reference = run_pipeline(&net, &PipelineOptions::default());
+            assert_eq!(reference.store.spilled_segments, 0);
+            // A 1-byte budget makes every stage store page out its sealed
+            // key segments.
+            let options = PipelineOptions { mem_budget: Some(1), ..PipelineOptions::default() };
+            let run = run_pipeline(&net, &options);
+            assert_eq!(write_aut(&run.lts), write_aut(&reference.lts), "the spill store diverged");
+            assert_eq!(run.store.states, reference.store.states);
+            assert_eq!(run.store.key_bytes, reference.store.key_bytes);
+            assert_eq!(run.store.spilled_segments > 0, spills, "{:?}", run.store);
         }
     }
 

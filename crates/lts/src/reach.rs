@@ -62,9 +62,10 @@ pub struct SearchOutcome {
 /// Materializes the reachable part of `ts` into an explicit [`Lts`],
 /// numbering states in BFS discovery order (state 0 initial).
 ///
-/// For a [`crate::ts::LazyProduct`] of two components this is byte-identical
-/// to the eager [`crate::ops::compose`] — which is now implemented as
-/// exactly this call.
+/// This is the generic path, for state types without a packed key (the
+/// term-SOS `PaTs`), and the differential reference for
+/// [`materialize_store`]: for a [`crate::ts::LazyProduct`] it is
+/// byte-identical to [`crate::ops::compose_all`].
 pub fn materialize<T: TransitionSystem>(ts: &T) -> Lts {
     let mut index: HashMap<T::State, StateId> = HashMap::new();
     let mut queue: VecDeque<T::State> = VecDeque::new();
@@ -94,12 +95,12 @@ pub fn materialize<T: TransitionSystem>(ts: &T) -> Lts {
     Lts::from_parts(ts.label_table(), num_states, 0, transitions)
 }
 
-/// [`materialize`] over a pluggable [`StateStore`]: visited-state
-/// dedup runs on *packed byte keys* owned by the store instead of a
-/// `HashMap` of cloned state values, so the resident set can live in a
-/// packed arena or spill to disk (see [`crate::store`]).
+/// [`materialize`] over a [`StateStore`]: visited-state dedup runs on
+/// *packed byte keys* owned by the store instead of a `HashMap` of cloned
+/// state values, so the resident set lives in a packed arena or spills to
+/// disk (see [`crate::store`]).
 ///
-/// The result is byte-identical to [`materialize`] with any backend: the
+/// The result is byte-identical to [`materialize`] in either store: the
 /// store interns targets in the same BFS discovery order. Only queued
 /// states are kept as live values; the interior of the visited set exists
 /// solely as packed keys inside the store.
@@ -579,7 +580,7 @@ mod tests {
 
     #[test]
     fn materialize_store_matches_hashmap_on_every_backend() {
-        use crate::store::{make_store, StoreConfig, StoreKind};
+        use crate::store::make_store;
         // A 60-state product with both interleaved and synchronized moves.
         let mut left = LtsBuilder::new();
         let ls: Vec<_> = (0..10).map(|_| left.add_state()).collect();
@@ -599,12 +600,12 @@ mod tests {
         let parts = [&left, &right];
         let product = LazyProduct::new(&parts, &ops::Sync::on(["S"]));
         let want = crate::io::write_aut(&materialize(&product));
-        for kind in StoreKind::ALL {
-            // A 1-byte budget forces the spill backend to page out every
-            // sealed segment; other backends ignore it.
-            let mut store = make_store(&StoreConfig { kind, mem_budget: Some(1) });
+        // The arena, and the spill store at a 1-byte budget, which pages
+        // out every sealed segment.
+        for mem_budget in [None, Some(1)] {
+            let mut store = make_store(mem_budget);
             let got = materialize_store(&product, store.as_mut());
-            assert_eq!(want, crate::io::write_aut(&got), "store {kind} diverged");
+            assert_eq!(want, crate::io::write_aut(&got), "budget {mem_budget:?} diverged");
             assert_eq!(store.len(), got.num_states());
         }
     }

@@ -1,98 +1,39 @@
-//! Pluggable state stores: the dedup structure behind every frontier.
+//! State stores: the dedup structure behind every frontier.
 //!
 //! Exploration — whether of a lazy product ([`crate::reach`]) or of a
 //! process-algebra term graph (`multival-pa`) — spends its memory in one
 //! place: the map from *state* to *dense id* that decides whether a
-//! successor is new. The engine's default `HashMap` keeps every key as an
+//! successor is new. A per-key allocating `HashMap` keeps every key as an
 //! individually allocated value plus ~48 bytes of table overhead, which
 //! caps the frontier well short of the million-state spaces the
 //! compositional flow targets (this is the role CADP's BCG state tables
 //! play; see DESIGN.md §9).
 //!
 //! A [`StateStore`] abstracts that map over *packed byte keys*: callers
-//! serialize each state once (component-id vectors as varints, terms via
-//! their canonical encoding) and the store owns layout. Three backends:
+//! serialize each state once (component-id vectors as varints) and the
+//! store owns layout. There is one layout, in two residencies:
 //!
-//! * [`HashStore`] — the current layout: a hash map from boxed key bytes
-//!   to ids. Baseline and reference.
 //! * [`ArenaStore`] — all keys packed end-to-end in one byte arena, with
 //!   an open-addressing fingerprint table (`u64` Fx hash + id per slot).
 //!   No per-state allocation, ~12 bytes fixed overhead per state.
-//! * [`SpillStore`] — the arena split into 1 MiB segments; when resident
-//!   bytes exceed a configurable budget, cold (sealed) segments are
+//! * [`SpillStore`] — the same arena split into 1 MiB segments; when
+//!   resident bytes exceed a memory budget, cold (sealed) segments are
 //!   written to a temp file and dropped from memory. The fingerprint
 //!   table stays resident, so lookups touch disk only to confirm a
 //!   fingerprint match against a spilled key — a rare event.
 //!
-//! All backends assign ids densely in first-insertion order, so a BFS over
-//! any backend numbers states identically — the differential suite in
-//! `tests/` holds them to byte-identical LTS output.
+//! [`make_store`] picks the arena, or the spill store exactly when a
+//! budget is given. Both assign ids densely in first-insertion order, so
+//! a BFS numbers states identically either way — the differential suite
+//! in `tests/` holds them to byte-identical LTS output.
 
 use crate::lts::StateId;
 use crate::vbyte::write_uv;
-use multival_par::fx::{hash_bytes, FxHashMap};
-use std::fmt;
+use multival_par::fx::hash_bytes;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Which [`StateStore`] backend to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreKind {
-    /// Hash map from boxed key bytes to ids (the historical layout).
-    #[default]
-    Hash,
-    /// Contiguous packed arena + open-addressing fingerprint index.
-    Arena,
-    /// Arena segmented and paged to a temp file under a memory budget.
-    Spill,
-}
-
-impl StoreKind {
-    /// All kinds, for differential sweeps.
-    pub const ALL: [StoreKind; 3] = [StoreKind::Hash, StoreKind::Arena, StoreKind::Spill];
-}
-
-impl fmt::Display for StoreKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            StoreKind::Hash => "hash",
-            StoreKind::Arena => "arena",
-            StoreKind::Spill => "spill",
-        })
-    }
-}
-
-impl std::str::FromStr for StoreKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "hash" => Ok(StoreKind::Hash),
-            "arena" => Ok(StoreKind::Arena),
-            "spill" => Ok(StoreKind::Spill),
-            other => Err(format!("unknown store kind '{other}' (expected hash|arena|spill)")),
-        }
-    }
-}
-
-/// Store selection plus the memory budget honored by the spill backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreConfig {
-    /// Backend to construct.
-    pub kind: StoreKind,
-    /// Resident-memory budget in bytes. Only [`StoreKind::Spill`] acts on
-    /// it (by paging sealed segments out); other backends ignore it.
-    pub mem_budget: Option<usize>,
-}
-
-impl StoreConfig {
-    /// A config for `kind` with no budget.
-    pub fn of(kind: StoreKind) -> Self {
-        StoreConfig { kind, mem_budget: None }
-    }
-}
 
 /// Counters reported by every backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,6 +48,18 @@ pub struct StoreStats {
     pub spilled_bytes: usize,
     /// Segments paged out over the store's lifetime.
     pub spilled_segments: usize,
+}
+
+impl StoreStats {
+    /// Accumulates the counters of another store that ran after this one:
+    /// counts add up, `mem_bytes` keeps the larger (peak) footprint.
+    pub fn add(&mut self, other: &StoreStats) {
+        self.states += other.states;
+        self.key_bytes += other.key_bytes;
+        self.mem_bytes = self.mem_bytes.max(other.mem_bytes);
+        self.spilled_bytes += other.spilled_bytes;
+        self.spilled_segments += other.spilled_segments;
+    }
 }
 
 /// A `packed key → dense id` interning map. Ids start at 0 and follow
@@ -131,14 +84,12 @@ pub trait StateStore: Send {
     fn stats(&self) -> StoreStats;
 }
 
-/// Constructs the backend selected by `config`.
-pub fn make_store(config: &StoreConfig) -> Box<dyn StateStore> {
-    match config.kind {
-        StoreKind::Hash => Box::new(HashStore::new()),
-        StoreKind::Arena => Box::new(ArenaStore::new()),
-        StoreKind::Spill => {
-            Box::new(SpillStore::new(config.mem_budget.unwrap_or(SpillStore::DEFAULT_BUDGET)))
-        }
+/// The store for one exploration: an [`ArenaStore`], or a [`SpillStore`]
+/// paging to disk past `mem_budget` bytes when a budget is given.
+pub fn make_store(mem_budget: Option<usize>) -> Box<dyn StateStore> {
+    match mem_budget {
+        None => Box::new(ArenaStore::new()),
+        Some(budget) => Box::new(SpillStore::new(budget)),
     }
 }
 
@@ -149,12 +100,6 @@ pub trait PackState {
     fn pack(&self, out: &mut Vec<u8>);
 }
 
-impl PackState for StateId {
-    fn pack(&self, out: &mut Vec<u8>) {
-        write_uv(out, u64::from(*self));
-    }
-}
-
 impl PackState for Vec<StateId> {
     fn pack(&self, out: &mut Vec<u8>) {
         // The length prefix keeps the encoding injective even if keys of
@@ -162,54 +107,6 @@ impl PackState for Vec<StateId> {
         write_uv(out, self.len() as u64);
         for &s in self {
             write_uv(out, u64::from(s));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// HashStore
-
-/// The historical layout: `HashMap<Box<[u8]>, id>` (Fx-hashed).
-#[derive(Default)]
-pub struct HashStore {
-    map: FxHashMap<Box<[u8]>, StateId>,
-    key_bytes: usize,
-}
-
-impl HashStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        HashStore::default()
-    }
-}
-
-impl StateStore for HashStore {
-    fn get_or_insert(&mut self, key: &[u8]) -> (StateId, bool) {
-        if let Some(&id) = self.map.get(key) {
-            return (id, false);
-        }
-        let id = self.map.len() as StateId;
-        self.key_bytes += key.len();
-        self.map.insert(key.into(), id);
-        (id, true)
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn mem_bytes(&self) -> usize {
-        // Keys + per-entry overhead (boxed slice header, table slot, hash).
-        self.key_bytes + self.map.capacity() * 48
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            states: self.map.len(),
-            key_bytes: self.key_bytes,
-            mem_bytes: self.mem_bytes(),
-            spilled_bytes: 0,
-            spilled_segments: 0,
         }
     }
 }
@@ -229,6 +126,16 @@ struct FingerprintTable {
 /// Empty-slot sentinel; state counts are capped far below it.
 const EMPTY: StateId = StateId::MAX;
 
+/// The home slot of `hash` in a table of `mask + 1` slots. An Fx hash
+/// ends in a multiply, whose low bits depend only on the low bits of its
+/// input: packed `Vec<StateId>` keys that differ only in a later varint
+/// mostly share them, and slotting on them alone clusters such keys into
+/// probe runs hundreds of slots long. Folding the high half in spreads
+/// them.
+fn home_slot(hash: u64, mask: usize) -> usize {
+    ((hash >> 32) ^ hash) as usize & mask
+}
+
 impl FingerprintTable {
     fn new() -> Self {
         // Small: explorations of single components are often a handful of
@@ -240,7 +147,7 @@ impl FingerprintTable {
     /// Finds `hash`: returns the id of a slot whose fingerprint matches
     /// and whose key `confirm`s, or the empty-slot index to insert at.
     fn probe(&self, hash: u64, mut confirm: impl FnMut(StateId) -> bool) -> Result<StateId, usize> {
-        let mut idx = hash as usize & self.mask;
+        let mut idx = home_slot(hash, self.mask);
         loop {
             let id = self.ids[idx];
             if id == EMPTY {
@@ -273,7 +180,7 @@ impl FingerprintTable {
                 continue;
             }
             let h = self.hashes[i];
-            let mut idx = h as usize & new_mask;
+            let mut idx = home_slot(h, new_mask);
             while ids[idx] != EMPTY {
                 idx = (idx + 1) & new_mask;
             }
@@ -329,14 +236,7 @@ impl ArenaStore {
 impl StateStore for ArenaStore {
     fn get_or_insert(&mut self, key: &[u8]) -> (StateId, bool) {
         let hash = hash_bytes(key);
-        let data = &self.data;
-        let ends = &self.ends;
-        let key_of = |id: StateId| {
-            let i = id as usize;
-            let start = if i == 0 { 0 } else { ends[i - 1] as usize };
-            &data[start..ends[i] as usize]
-        };
-        match self.table.probe(hash, |id| key_of(id) == key) {
+        match self.table.probe(hash, |id| self.key(id) == key) {
             Ok(id) => (id, false),
             Err(slot) => {
                 let id = self.ends.len() as StateId;
@@ -410,9 +310,6 @@ const MIN_SEGMENT_BYTES: usize = 4 << 10;
 static SPILL_SERIAL: AtomicU64 = AtomicU64::new(0);
 
 impl SpillStore {
-    /// Default resident budget when none is configured: 256 MiB.
-    pub const DEFAULT_BUDGET: usize = 256 << 20;
-
     /// An empty store with the given resident budget in bytes.
     pub fn new(budget: usize) -> Self {
         let segment_bytes = budget.clamp(MIN_SEGMENT_BYTES, SEGMENT_BYTES);
@@ -430,24 +327,6 @@ impl SpillStore {
             file_len: 0,
             segment_bytes,
         }
-    }
-
-    /// Reads key `id` into `buf` (spilled keys come back from the file).
-    fn read_key(&mut self, id: StateId, buf: &mut Vec<u8>) {
-        let (seg, off, len) = self.locs[id as usize];
-        buf.clear();
-        let file_offset = match &self.segments[seg as usize] {
-            Segment::Resident(bytes) => {
-                buf.extend_from_slice(&bytes[off as usize..(off + len) as usize]);
-                return;
-            }
-            Segment::Spilled { offset, .. } => *offset,
-        };
-        let file = self.file.as_mut().expect("spilled segment implies a spill file");
-        buf.resize(len as usize, 0);
-        file.seek(SeekFrom::Start(file_offset + u64::from(off)))
-            .and_then(|_| file.read_exact(buf))
-            .expect("spill file read");
     }
 
     /// Pages sealed resident segments out, oldest first, until resident
@@ -491,6 +370,33 @@ impl SpillStore {
     }
 }
 
+/// Whether interned key `id` equals `key`; a key in a paged-out segment
+/// is read back from the spill file into `buf`.
+fn key_equals(
+    segments: &[Segment],
+    locs: &[(u32, u32, u32)],
+    file: &mut Option<File>,
+    id: StateId,
+    key: &[u8],
+    buf: &mut Vec<u8>,
+) -> bool {
+    let (seg, off, len) = locs[id as usize];
+    if len as usize != key.len() {
+        return false;
+    }
+    match &segments[seg as usize] {
+        Segment::Resident(bytes) => &bytes[off as usize..(off + len) as usize] == key,
+        Segment::Spilled { offset } => {
+            let file = file.as_mut().expect("spilled segment implies a spill file");
+            buf.resize(key.len(), 0);
+            file.seek(SeekFrom::Start(offset + u64::from(off)))
+                .and_then(|_| file.read_exact(buf))
+                .expect("spill file read");
+            buf == key
+        }
+    }
+}
+
 impl Drop for SpillStore {
     fn drop(&mut self) {
         self.file = None;
@@ -503,23 +409,14 @@ impl Drop for SpillStore {
 impl StateStore for SpillStore {
     fn get_or_insert(&mut self, key: &[u8]) -> (StateId, bool) {
         let hash = hash_bytes(key);
-        // Probe with an owned read buffer: a fingerprint match against a
-        // spilled key needs a file read, so the closure-based zero-copy
-        // path of `ArenaStore` does not apply here.
-        let mut idx = hash as usize & self.table.mask;
+        let (segments, locs, file) = (&self.segments, &self.locs, &mut self.file);
         let mut buf = Vec::new();
-        let slot = loop {
-            let id = self.table.ids[idx];
-            if id == EMPTY {
-                break idx;
-            }
-            if self.table.hashes[idx] == hash {
-                self.read_key(id, &mut buf);
-                if buf == key {
-                    return (id, false);
-                }
-            }
-            idx = (idx + 1) & self.table.mask;
+        let slot = match self
+            .table
+            .probe(hash, |id| key_equals(segments, locs, file, id, key, &mut buf))
+        {
+            Ok(id) => return (id, false),
+            Err(slot) => slot,
         };
 
         let id = self.locs.len() as StateId;
@@ -598,17 +495,51 @@ mod tests {
     #[test]
     fn backends_agree_on_ids_and_novelty() {
         let ks = keys(5_000);
-        let mut hash = HashStore::new();
         let mut arena = ArenaStore::new();
         let mut spill = SpillStore::new(1); // pathological budget: spill everything
-        let a = drive(&mut hash, &ks);
-        let b = drive(&mut arena, &ks);
-        let c = drive(&mut spill, &ks);
+        let a = drive(&mut arena, &ks);
+        let b = drive(&mut spill, &ks);
         assert_eq!(a, b);
-        assert_eq!(a, c);
-        assert_eq!(hash.len(), arena.len());
-        assert_eq!(hash.len(), spill.len());
+        assert_eq!(arena.len(), spill.len());
         assert!(spill.stats().spilled_segments > 0 || spill.stats().key_bytes < SEGMENT_BYTES);
+        // Without a budget the store is the arena; with one it spills.
+        let mut store = make_store(None);
+        assert_eq!(drive(store.as_mut(), &ks), a);
+        let mut store = make_store(Some(1));
+        assert_eq!(drive(store.as_mut(), &ks), a);
+        assert!(store.stats().spilled_segments > 0);
+    }
+
+    /// Mean linear-probe length over a walk of every occupied slot: the
+    /// number of slots a lookup of that slot's key inspects.
+    fn mean_probe_len(table: &FingerprintTable) -> f64 {
+        let (mut total, mut occupied) = (0usize, 0usize);
+        for (i, &id) in table.ids.iter().enumerate() {
+            if id != EMPTY {
+                let home = home_slot(table.hashes[i], table.mask);
+                total += (i.wrapping_sub(home) & table.mask) + 1;
+                occupied += 1;
+            }
+        }
+        total as f64 / occupied as f64
+    }
+
+    #[test]
+    fn packed_pair_keys_do_not_cluster() {
+        // Product states of two components, packed as the explorers pack
+        // them: these keys differ mostly in their high bytes.
+        let mut store = ArenaStore::new();
+        let mut key = Vec::new();
+        for a in 0..256u32 {
+            for b in 0..128u32 {
+                key.clear();
+                vec![a, b].pack(&mut key);
+                assert!(store.get_or_insert(&key).1);
+            }
+        }
+        assert_eq!(store.len(), 1 << 15);
+        let mean = mean_probe_len(&store.table);
+        assert!(mean < 4.0, "mean probe length {mean:.1} slots");
     }
 
     #[test]
@@ -653,15 +584,6 @@ mod tests {
             assert!(path.as_ref().is_some_and(|p| p.exists()));
         }
         assert!(!path.expect("spill happened").exists());
-    }
-
-    #[test]
-    fn store_kind_parses() {
-        assert_eq!("arena".parse::<StoreKind>(), Ok(StoreKind::Arena));
-        assert_eq!("hash".parse::<StoreKind>(), Ok(StoreKind::Hash));
-        assert_eq!("spill".parse::<StoreKind>(), Ok(StoreKind::Spill));
-        assert!("mmap".parse::<StoreKind>().is_err());
-        assert_eq!(StoreKind::Spill.to_string(), "spill");
     }
 
     #[test]

@@ -20,9 +20,23 @@
 //! `STRING` is a double-quoted glob pattern matched against full label
 //! texts (e.g. `"PUSH !*"`); a bare `IDENT` in action position is a pattern
 //! without spaces. Variables are capitalized by convention but not by rule.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] levels: each parenthesis, unary
+//! operator, modality and fixpoint body counts one, and a left-folded
+//! `and`/`or` chain counts one per operator above the operands it pushes
+//! down (an implication `a => b`, read `not a or b`, pushes `a` two), so
+//! the cap bounds the finished formula and not just the parser's
+//! recursion. Parsing, and every later recursive walk over the formula
+//! (checking, `Display`, drop), then fits the 2 MiB stack of a spawned
+//! thread.
 
 use crate::formula::{ActionFormula, Formula};
 use std::fmt;
+
+/// Deepest nesting a formula may have (see the module docs for what counts
+/// as a level). Real properties sit far below it: the formulas written in
+/// this repository nest at most 6 levels.
+pub const MAX_DEPTH: usize = 200;
 
 /// Formula parsing error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,9 +205,17 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseFormulaError> {
     Ok(out)
 }
 
+/// A parsing rule of [`P`].
+type Rule<T> = fn(&mut P) -> Result<T, ParseFormulaError>;
+
 struct P {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// Current nesting depth, at most [`MAX_DEPTH`].
+    depth: usize,
+    /// Deepest level reached since the innermost open [`P::chain`] started
+    /// its current operand.
+    peak: usize,
 }
 
 impl P {
@@ -234,61 +256,96 @@ impl P {
         ParseFormulaError { offset: self.offset(), message }
     }
 
-    fn formula(&mut self) -> Result<Formula, ParseFormulaError> {
-        let lhs = self.or_formula()?;
-        if self.eat(&Tok::Implies) {
-            let rhs = self.formula()?;
-            // a => b ≡ not a or b
-            return Ok(Formula::Or(Box::new(Formula::Not(Box::new(lhs))), Box::new(rhs)));
+    fn too_deep(&self) -> ParseFormulaError {
+        self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Runs `rule` one nesting level deeper, or fails past [`MAX_DEPTH`].
+    fn nest<T>(&mut self, rule: Rule<T>) -> Result<T, ParseFormulaError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
         }
-        Ok(lhs)
+        self.depth += 1;
+        self.peak = self.peak.max(self.depth);
+        let out = rule(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Parses `first (op rest)*`, folded to the left. Each fold pushes the
+    /// tree built so far `sink` levels down, so the deepest level the chain
+    /// reaches is tracked through the fold and held to [`MAX_DEPTH`].
+    fn chain<T>(
+        &mut self,
+        op: &Tok,
+        sink: usize,
+        first: Rule<T>,
+        rest: Rule<T>,
+        fold: fn(T, T) -> T,
+    ) -> Result<T, ParseFormulaError> {
+        let outer = self.peak;
+        self.peak = self.depth;
+        let mut acc = first(self)?;
+        let mut reach = self.peak;
+        while self.eat(op) {
+            self.peak = self.depth;
+            let rhs = self.nest(rest)?;
+            reach = (reach + sink).max(self.peak);
+            if reach > MAX_DEPTH {
+                return Err(self.too_deep());
+            }
+            acc = fold(acc, rhs);
+        }
+        self.peak = outer.max(reach);
+        Ok(acc)
+    }
+
+    fn formula(&mut self) -> Result<Formula, ParseFormulaError> {
+        // Right associative (`rest` takes every later `=>`); a => b ≡ not a or b.
+        self.chain(&Tok::Implies, 2, Self::or_formula, Self::formula, |a, b| {
+            Formula::Or(Box::new(Formula::Not(Box::new(a))), Box::new(b))
+        })
     }
 
     fn or_formula(&mut self) -> Result<Formula, ParseFormulaError> {
-        let mut acc = self.and_formula()?;
-        while self.eat(&Tok::Kw("or")) {
-            let rhs = self.and_formula()?;
-            acc = Formula::Or(Box::new(acc), Box::new(rhs));
-        }
-        Ok(acc)
+        self.chain(&Tok::Kw("or"), 1, Self::and_formula, Self::and_formula, |a, b| {
+            Formula::Or(Box::new(a), Box::new(b))
+        })
     }
 
     fn and_formula(&mut self) -> Result<Formula, ParseFormulaError> {
-        let mut acc = self.unary()?;
-        while self.eat(&Tok::Kw("and")) {
-            let rhs = self.unary()?;
-            acc = Formula::And(Box::new(acc), Box::new(rhs));
-        }
-        Ok(acc)
+        self.chain(&Tok::Kw("and"), 1, Self::unary, Self::unary, |a, b| {
+            Formula::And(Box::new(a), Box::new(b))
+        })
     }
 
     fn unary(&mut self) -> Result<Formula, ParseFormulaError> {
         match self.bump() {
             Tok::Kw("true") => Ok(Formula::True),
             Tok::Kw("false") => Ok(Formula::False),
-            Tok::Kw("not") => Ok(Formula::Not(Box::new(self.unary()?))),
+            Tok::Kw("not") => Ok(Formula::Not(Box::new(self.nest(Self::unary)?))),
             Tok::Kw("mu") => {
                 let x = self.ident()?;
                 self.expect(&Tok::Dot)?;
-                Ok(Formula::Mu(x, Box::new(self.formula()?)))
+                Ok(Formula::Mu(x, Box::new(self.nest(Self::formula)?)))
             }
             Tok::Kw("nu") => {
                 let x = self.ident()?;
                 self.expect(&Tok::Dot)?;
-                Ok(Formula::Nu(x, Box::new(self.formula()?)))
+                Ok(Formula::Nu(x, Box::new(self.nest(Self::formula)?)))
             }
             Tok::Lt => {
                 let af = self.action()?;
                 self.expect(&Tok::Gt)?;
-                Ok(Formula::Diamond(af, Box::new(self.unary()?)))
+                Ok(Formula::Diamond(af, Box::new(self.nest(Self::unary)?)))
             }
             Tok::LBrack => {
                 let af = self.action()?;
                 self.expect(&Tok::RBrack)?;
-                Ok(Formula::Box(af, Box::new(self.unary()?)))
+                Ok(Formula::Box(af, Box::new(self.nest(Self::unary)?)))
             }
             Tok::LParen => {
-                let f = self.formula()?;
+                let f = self.nest(Self::formula)?;
                 self.expect(&Tok::RParen)?;
                 Ok(f)
             }
@@ -305,31 +362,25 @@ impl P {
     }
 
     fn action(&mut self) -> Result<ActionFormula, ParseFormulaError> {
-        let mut acc = self.action_and()?;
-        while self.eat(&Tok::Kw("or")) {
-            let rhs = self.action_and()?;
-            acc = ActionFormula::Or(Box::new(acc), Box::new(rhs));
-        }
-        Ok(acc)
+        self.chain(&Tok::Kw("or"), 1, Self::action_and, Self::action_and, |a, b| {
+            ActionFormula::Or(Box::new(a), Box::new(b))
+        })
     }
 
     fn action_and(&mut self) -> Result<ActionFormula, ParseFormulaError> {
-        let mut acc = self.action_unary()?;
-        while self.eat(&Tok::Kw("and")) {
-            let rhs = self.action_unary()?;
-            acc = ActionFormula::And(Box::new(acc), Box::new(rhs));
-        }
-        Ok(acc)
+        self.chain(&Tok::Kw("and"), 1, Self::action_unary, Self::action_unary, |a, b| {
+            ActionFormula::And(Box::new(a), Box::new(b))
+        })
     }
 
     fn action_unary(&mut self) -> Result<ActionFormula, ParseFormulaError> {
         match self.bump() {
             Tok::Kw("true") => Ok(ActionFormula::Any),
-            Tok::Kw("not") => Ok(ActionFormula::Not(Box::new(self.action_unary()?))),
+            Tok::Kw("not") => Ok(ActionFormula::Not(Box::new(self.nest(Self::action_unary)?))),
             Tok::Str(p) => Ok(ActionFormula::Pattern(p)),
             Tok::Ident(p) => Ok(ActionFormula::Pattern(p)),
             Tok::LParen => {
-                let a = self.action()?;
+                let a = self.nest(Self::action)?;
                 self.expect(&Tok::RParen)?;
                 Ok(a)
             }
@@ -358,7 +409,7 @@ impl P {
 /// ```
 pub fn parse_formula(src: &str) -> Result<Formula, ParseFormulaError> {
     let toks = lex(src)?;
-    let mut p = P { toks, pos: 0 };
+    let mut p = P { toks, pos: 0, depth: 0, peak: 0 };
     let f = p.formula()?;
     if p.peek() != &Tok::Eof {
         return Err(p.err(format!("unexpected {} after formula", p.peek())));
@@ -415,6 +466,59 @@ mod tests {
         assert!(parse_formula("<a true").is_err());
         assert!(parse_formula("\"unterminated").is_err());
         assert!(parse_formula("true extra").is_err());
+    }
+
+    /// Formulas nesting exactly `k` levels, one per construct that nests.
+    fn nested_formulas(k: usize) -> Vec<(&'static str, String)> {
+        // An `or` chain inside the first operand of an `or` chain, `n`
+        // times over.
+        let n = k / 2;
+        let nested = format!(
+            "{}{}false{}",
+            if k.is_multiple_of(2) { "" } else { "not " },
+            "(".repeat(n),
+            " or false)".repeat(n)
+        );
+        vec![
+            ("not", format!("{}true", "not ".repeat(k))),
+            ("parens", format!("{}true{}", "(".repeat(k), ")".repeat(k))),
+            ("diamond", format!("{}true", "<a> ".repeat(k))),
+            ("box", format!("{}true", "[true] ".repeat(k))),
+            ("and", format!("{}true", "true and ".repeat(k))),
+            ("or", format!("{}false", "false or ".repeat(k))),
+            ("implies", format!("{}true", "false => ".repeat(k - 1))),
+            // Greatest fixpoints: a `nu` over `true` is stable at once, so
+            // checking stays linear (nested `mu`s iterate twice per level).
+            ("fixpoints", format!("{}true", "nu X. ".repeat(k))),
+            ("action not", format!("<{}i> true", "not ".repeat(k))),
+            ("action parens", format!("<{}a{}> true", "(".repeat(k), ")".repeat(k))),
+            ("action or", format!("<{}a> true", "b or ".repeat(k))),
+            ("nested or", nested),
+        ]
+    }
+
+    #[test]
+    fn nesting_is_capped_and_formulas_at_the_cap_stay_within_a_small_stack() {
+        for (shape, over) in nested_formulas(MAX_DEPTH + 1) {
+            let err = parse_formula(&over).expect_err(shape);
+            assert!(err.message.contains("deeper than"), "{shape}: {err}");
+        }
+        // Checking, printing and dropping recurse over the nesting; all of
+        // it must fit the 2 MiB default of spawned threads.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let lts = lts_from_triples(&[(0, "a", 0)]);
+                for (shape, src) in nested_formulas(MAX_DEPTH) {
+                    let f = parse_formula(&src).unwrap_or_else(|e| panic!("{shape}: {e}"));
+                    check(&lts, &f).unwrap_or_else(|e| panic!("{shape}: {e}"));
+                    assert!(!f.to_string().is_empty(), "{shape}");
+                    drop(f);
+                }
+            })
+            .expect("spawns")
+            .join()
+            .expect("a formula at the nesting cap fits a 2 MiB stack");
     }
 
     #[test]

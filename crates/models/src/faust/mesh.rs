@@ -265,8 +265,7 @@ pub fn complement_network_n(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multival_lts::store::StoreConfig;
-    use multival_pa::{explore, explore_term_store};
+    use multival_pa::{explore, explore_term_store_partial};
 
     #[test]
     fn xy_hops_generalize_the_2x2_function() {
@@ -311,13 +310,9 @@ mod tests {
         // A single in-flight packet can always progress to its
         // destination: no contention, no head-of-line blocking.
         let spec = complement_spec_n(3, Some(1)).expect("parses");
-        let lts = explore_term_store(
-            spec.top().clone(),
-            &spec,
-            &Default::default(),
-            &StoreConfig::default(),
-        )
-        .expect("explores");
+        let run = explore_term_store_partial(spec.top().clone(), &spec, &Default::default(), None);
+        assert!(run.aborted.is_none());
+        let lts = run.lts;
         assert!(multival_lts::analysis::deadlock_witness(&lts).is_none());
         assert!(lts.num_states() > 50, "nontrivial space: {}", lts.num_states());
     }

@@ -4,16 +4,16 @@
 //! Exploration is sequential and runs on the compiled successor function
 //! of `crate::compiled`: a state is a vector of sequential-component
 //! states, not a term. State ids are BFS discovery order, and every entry
-//! point — term-keeping or store-backed, at any backend — runs the same
-//! loop, so their LTSs and abort reports are byte-identical to each other
-//! and to a BFS over [`crate::ts::PaTs`]. See `DESIGN.md` §6.
+//! point — term-keeping or store-backed, with or without a memory budget —
+//! runs the same loop, so their LTSs and abort reports are byte-identical
+//! to each other and to a BFS over [`crate::ts::PaTs`]. See `DESIGN.md` §6.
 
 use crate::compiled::Engine;
 use crate::pack::pack;
 use crate::semantics::{Label, SemError};
 use crate::spec::Spec;
 use crate::term::Term;
-use multival_lts::store::{make_store, ArenaStore, StateStore, StoreConfig, StoreStats};
+use multival_lts::store::{make_store, ArenaStore, StateStore, StoreStats};
 use multival_lts::{LabelId, Lts, LtsBuilder, StateId};
 use std::fmt;
 use std::sync::Arc;
@@ -196,12 +196,12 @@ pub fn explore_term(
     spec: &Spec,
     options: &ExploreOptions,
 ) -> Result<Explored, ExploreError> {
-    explore_term_partial(initial, spec, options).into_result()
+    explore_kept(initial, spec, options).into_result()
 }
 
 /// Like [`explore`], but retains partial work when exploration aborts.
 pub fn explore_partial(spec: &Spec, options: &ExploreOptions) -> Exploration {
-    explore_term_partial(spec.top().clone(), spec, options)
+    explore_kept(spec.top().clone(), spec, options)
 }
 
 /// How many expanded states pass between wall-clock checks — keeps
@@ -213,14 +213,10 @@ fn past_deadline(options: &ExploreOptions) -> bool {
     options.deadline.is_some_and(|d| std::time::Instant::now() >= d)
 }
 
-/// Like [`explore_term`], but retains partial work when exploration
-/// aborts: on a cap hit or semantics error, `explored` holds exactly the
-/// states and transitions admitted before the abort.
-pub fn explore_term_partial(
-    initial: Arc<Term>,
-    spec: &Spec,
-    options: &ExploreOptions,
-) -> Exploration {
+/// The term-keeping exploration from `initial`, retaining partial work
+/// when it aborts: on a cap hit or semantics error, `explored` holds
+/// exactly the states and transitions admitted before the abort.
+fn explore_kept(initial: Arc<Term>, spec: &Spec, options: &ExploreOptions) -> Exploration {
     let mut store = ArenaStore::new();
     let run = bfs(initial, spec, options, &mut store, true);
     Exploration { explored: Explored { lts: run.lts, states: run.terms }, aborted: run.aborted }
@@ -229,13 +225,11 @@ pub fn explore_term_partial(
 /// Result of a store-backed exploration: the LTS plus the dedup store's
 /// accounting. Unlike [`Explored`], per-state terms are *not* retained:
 /// the dedup index holds each state's packed leaf-id vector (one varint
-/// per sequential component, see `crate::compiled`) in the configured
-/// [`StateStore`] backend, and only the current BFS level's vectors stay
-/// resident besides. This is the million-state entry point: with
-/// [`StoreKind::Spill`], resident memory is bounded by the budget plus
-/// the frontier.
-///
-/// [`StoreKind::Spill`]: multival_lts::store::StoreKind::Spill
+/// per sequential component, see `crate::compiled`) in a [`StateStore`],
+/// and only the current BFS level's vectors stay resident besides. This
+/// is the million-state entry point: under a memory budget the store
+/// spills to disk, so resident memory is bounded by the budget, the
+/// fingerprint table and the frontier.
 #[derive(Debug, Clone)]
 #[must_use]
 pub struct StoreExploration {
@@ -248,50 +242,20 @@ pub struct StoreExploration {
     pub aborted: Option<ExploreError>,
 }
 
-/// Explores `spec`'s top behaviour through a pluggable state store,
-/// without retaining a term per state.
+/// Explores from `initial` through a state store, without retaining a
+/// term per state: an arena, or a store spilling to disk past
+/// `mem_budget` bytes when a budget is given. Partial work is kept when
+/// exploration aborts.
 ///
-/// The LTS — state numbering, label table, transitions — is byte-identical
-/// to [`explore`]'s at any backend.
-///
-/// # Errors
-///
-/// Same as [`explore`].
-pub fn explore_store(
-    spec: &Spec,
-    options: &ExploreOptions,
-    config: &StoreConfig,
-) -> Result<Lts, ExploreError> {
-    explore_term_store(spec.top().clone(), spec, options, config)
-}
-
-/// [`explore_store`] from an explicit initial term.
-///
-/// # Errors
-///
-/// Same as [`explore`].
-pub fn explore_term_store(
-    initial: Arc<Term>,
-    spec: &Spec,
-    options: &ExploreOptions,
-    config: &StoreConfig,
-) -> Result<Lts, ExploreError> {
-    let run = explore_term_store_partial(initial, spec, options, config);
-    match run.aborted {
-        None => Ok(run.lts),
-        Some(e) => Err(e),
-    }
-}
-
-/// Like [`explore_term_store`], but retains partial work when exploration
-/// aborts.
+/// The LTS — state numbering, label table, transitions — and the abort
+/// report are byte-identical to [`explore_term`]'s either way.
 pub fn explore_term_store_partial(
     initial: Arc<Term>,
     spec: &Spec,
     options: &ExploreOptions,
-    config: &StoreConfig,
+    mem_budget: Option<usize>,
 ) -> StoreExploration {
-    let mut store = make_store(config);
+    let mut store = make_store(mem_budget);
     let run = bfs(initial, spec, options, store.as_mut(), false);
     StoreExploration { lts: run.lts, store: store.stats(), aborted: run.aborted }
 }
@@ -573,16 +537,15 @@ mod tests {
 
     #[test]
     fn store_backed_exploration_is_backend_and_thread_invariant() {
-        use multival_lts::store::StoreKind;
         let (s, top) = triple_counter_top();
         let base = explore_term(top.clone(), &s, &ExploreOptions::default()).expect("baseline");
-        for kind in StoreKind::ALL {
-            // A 1-byte budget forces the spill backend to page on every
-            // sealed segment.
-            let config = StoreConfig { kind, mem_budget: Some(1) };
-            let lts = explore_term_store(top.clone(), &s, &ExploreOptions::default(), &config)
-                .expect("store run");
-            assert_eq!(write_aut(&lts), write_aut(&base.lts), "{kind:?}");
+        // The arena, and the spill store at a 1-byte budget, which pages
+        // on every sealed segment.
+        for mem_budget in [None, Some(1)] {
+            let run =
+                explore_term_store_partial(top.clone(), &s, &ExploreOptions::default(), mem_budget);
+            assert!(run.aborted.is_none());
+            assert_eq!(write_aut(&run.lts), write_aut(&base.lts), "budget {mem_budget:?}");
         }
     }
 
@@ -591,8 +554,8 @@ mod tests {
         let (s, top) = triple_counter_top();
         let opts =
             ExploreOptions { max_states: 60, max_transitions: 480, ..ExploreOptions::default() };
-        let seq = explore_term_partial(top.clone(), &s, &opts);
-        let run = explore_term_store_partial(top, &s, &opts, &StoreConfig::default());
+        let seq = explore_kept(top.clone(), &s, &opts);
+        let run = explore_term_store_partial(top, &s, &opts, None);
         assert_eq!(seq.aborted, run.aborted, "identical abort report");
         assert!(run.aborted.is_some(), "cap must trigger");
         assert_eq!(write_aut(&seq.explored.lts), write_aut(&run.lts));
@@ -604,12 +567,7 @@ mod tests {
         let mut s = Spec::new();
         s.set_top(Term::Exit(vec![Expr::var("ghost")]).rc());
         let seq = explore_partial(&s, &ExploreOptions::default());
-        let run = explore_term_store_partial(
-            s.top().clone(),
-            &s,
-            &ExploreOptions::default(),
-            &StoreConfig::default(),
-        );
+        let run = explore_term_store_partial(s.top().clone(), &s, &ExploreOptions::default(), None);
         assert_eq!(seq.aborted, run.aborted);
     }
 

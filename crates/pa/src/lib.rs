@@ -46,9 +46,8 @@ pub mod ts;
 pub mod value;
 
 pub use explorer::{
-    explore, explore_partial, explore_store, explore_term, explore_term_partial,
-    explore_term_store, explore_term_store_partial, Exploration, ExploreError, ExploreOptions,
-    Explored, StoreExploration,
+    explore, explore_partial, explore_term, explore_term_store_partial, Exploration, ExploreError,
+    ExploreOptions, Explored, StoreExploration,
 };
 pub use lint::{lint, Lint};
 pub use network::{extract_network, NetworkError};

@@ -33,6 +33,16 @@
 //! prefix. `hide`/`rename`/`let` bodies extend maximally (parenthesize to
 //! restrict). Expressions use conventional precedence (`or` < `and` < `not`
 //! < comparisons < `+ -` < `* div mod` < unary `-`).
+//!
+//! Nesting is capped at [`MAX_DEPTH`] levels: each parenthesis, prefix,
+//! operator body and unary operator counts one, and a left-folded operator
+//! chain counts one per operator above the operands it pushes down, so the
+//! cap bounds the finished tree and not just the parser's recursion (a
+//! parenthesized chain as the first operand of another chain is charged
+//! for the outer chain's length). A value choice counts like the `[]`
+//! chain it unfolds into. Parsing, and every later recursive walk over the
+//! term (validation, exploration, lint, `Display`, drop), then fits the
+//! 2 MiB stack of a spawned thread.
 
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::lexer::{lex, LexError, Spanned, Tok};
@@ -65,6 +75,15 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting a specification may have (see the module docs for what
+/// counts as a level). Real models sit well below it: the committed
+/// examples nest at most 29 levels (`mesh_3x3.lot`), the generated FAUST
+/// meshes 51 (4×4), 83 (5×5) and 123 (6×6), and generated xMAS fabrics at
+/// most 53 (seeds 0..64 at 20 growth steps). Every test shape at the cap
+/// parses, explores, lints, prints and drops within 512 KiB of stack in a
+/// debug build.
+pub const MAX_DEPTH: usize = 200;
+
 /// Parses a complete specification.
 ///
 /// # Errors
@@ -92,7 +111,7 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse_spec(src: &str) -> Result<Spec, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0, spec: Spec::new() };
+    let mut p = Parser { tokens, pos: 0, depth: 0, peak: 0, spec: Spec::new() };
     p.spec()?;
     let spec = p.spec;
     spec.validate().map_err(|e| ParseError { line: 0, message: e.0 })?;
@@ -107,25 +126,29 @@ pub fn parse_spec(src: &str) -> Result<Spec, ParseError> {
 /// Returns [`ParseError`] on syntax errors.
 pub fn parse_behaviour(src: &str, spec: &Spec) -> Result<Arc<Term>, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0, spec: spec.clone() };
+    let mut p = Parser { tokens, pos: 0, depth: 0, peak: 0, spec: spec.clone() };
     let b = p.behaviour()?;
     p.expect_eof()?;
     Ok(b)
 }
 
+/// A parsing rule of [`Parser`].
+type Rule<T> = fn(&mut Parser) -> Result<T, ParseError>;
+
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Current nesting depth, at most [`MAX_DEPTH`].
+    depth: usize,
+    /// Deepest level reached since the innermost open [`Parser::chain`]
+    /// (or value choice) started its current operand.
+    peak: usize,
     spec: Spec,
 }
 
 impl Parser {
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].tok
-    }
-
-    fn peek2(&self) -> &Tok {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].tok
     }
 
     fn line(&self) -> usize {
@@ -159,6 +182,49 @@ impl Parser {
 
     fn err(&self, message: String) -> ParseError {
         ParseError { line: self.line(), message }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Runs `rule` one nesting level deeper, or fails past [`MAX_DEPTH`].
+    fn nest<T>(&mut self, rule: Rule<T>) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        self.peak = self.peak.max(self.depth);
+        let out = rule(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Parses `first (op rest)*`, folded to the left. Each fold pushes the
+    /// tree built so far one level down, so the deepest level the chain
+    /// reaches is tracked through the fold and held to [`MAX_DEPTH`].
+    fn chain<T, K>(
+        &mut self,
+        first: Rule<T>,
+        op: Rule<Option<K>>,
+        rest: Rule<T>,
+        fold: fn(K, T, T) -> T,
+    ) -> Result<T, ParseError> {
+        let outer = self.peak;
+        self.peak = self.depth;
+        let mut acc = first(self)?;
+        let mut reach = self.peak;
+        while let Some(k) = op(self)? {
+            self.peak = self.depth;
+            let rhs = self.nest(rest)?;
+            reach = (reach + 1).max(self.peak);
+            if reach > MAX_DEPTH {
+                return Err(self.too_deep());
+            }
+            acc = fold(k, acc, rhs);
+        }
+        self.peak = outer.max(reach);
+        Ok(acc)
     }
 
     fn ident(&mut self) -> Result<Sym, ParseError> {
@@ -281,213 +347,241 @@ impl Parser {
     // ---- behaviours -------------------------------------------------------
 
     fn behaviour(&mut self) -> Result<Arc<Term>, ParseError> {
-        let left = self.disable()?;
-        if self.eat(&Tok::Enable) {
-            let mut binders = Vec::new();
-            if self.eat(&Tok::Kw("accept")) {
-                binders.push(self.param()?);
-                while self.eat(&Tok::Comma) {
-                    binders.push(self.param()?);
-                }
-                self.expect(&Tok::Kw("in"))?;
-            }
-            let right = self.behaviour()?; // right associative
-            return Ok(Term::Enable(left, binders, right).rc());
+        // Right associative: `rest` takes every later `>>`.
+        self.chain(Self::disable, Self::enable_op, Self::behaviour, |binders, l, r| {
+            Term::Enable(l, binders, r).rc()
+        })
+    }
+
+    fn enable_op(&mut self) -> Result<Option<Vec<(Sym, Type)>>, ParseError> {
+        if !self.eat(&Tok::Enable) {
+            return Ok(None);
         }
-        Ok(left)
+        let mut binders = Vec::new();
+        if self.eat(&Tok::Kw("accept")) {
+            binders.push(self.param()?);
+            while self.eat(&Tok::Comma) {
+                binders.push(self.param()?);
+            }
+            self.expect(&Tok::Kw("in"))?;
+        }
+        Ok(Some(binders))
     }
 
     fn disable(&mut self) -> Result<Arc<Term>, ParseError> {
-        let mut acc = self.parallel()?;
-        while self.eat(&Tok::DisableOp) {
-            let rhs = self.parallel()?;
-            acc = Term::Disable(acc, rhs).rc();
-        }
-        Ok(acc)
+        let op = |p: &mut Self| Ok(p.eat(&Tok::DisableOp).then_some(()));
+        self.chain(Self::parallel, op, Self::parallel, |(), l, r| Term::Disable(l, r).rc())
     }
 
     fn parallel(&mut self) -> Result<Arc<Term>, ParseError> {
-        let mut acc = self.choice()?;
-        loop {
-            let kind = match self.peek() {
-                Tok::Interleave => {
-                    self.bump();
-                    SyncKind::Interleave
-                }
-                Tok::FullSync => {
-                    self.bump();
-                    SyncKind::Full
-                }
-                Tok::LBrackBar => {
-                    self.bump();
-                    let mut gates = vec![self.ident()?];
-                    while self.eat(&Tok::Comma) {
-                        gates.push(self.ident()?);
-                    }
-                    self.expect(&Tok::RBrackBar)?;
-                    SyncKind::gates(gates.iter().map(|g| &**g))
-                }
-                _ => break,
-            };
-            let rhs = self.choice()?;
-            acc = Term::Par(kind, acc, rhs).rc();
-        }
-        Ok(acc)
+        self.chain(Self::choice, Self::par_op, Self::choice, |kind, l, r| {
+            Term::Par(kind, l, r).rc()
+        })
     }
 
-    fn choice(&mut self) -> Result<Arc<Term>, ParseError> {
-        let mut acc = self.prefix()?;
-        while self.eat(&Tok::ChoiceOp) {
-            let rhs = self.prefix()?;
-            acc = Term::Choice(acc, rhs).rc();
-        }
-        Ok(acc)
-    }
-
-    fn prefix(&mut self) -> Result<Arc<Term>, ParseError> {
-        match self.peek().clone() {
-            Tok::Kw("stop") => {
-                self.bump();
-                Ok(Term::Stop.rc())
-            }
-            Tok::Kw("exit") => {
-                self.bump();
-                let mut args = Vec::new();
-                if self.eat(&Tok::LParen) {
-                    args.push(self.expr()?);
-                    while self.eat(&Tok::Comma) {
-                        args.push(self.expr()?);
-                    }
-                    self.expect(&Tok::RParen)?;
-                }
-                Ok(Term::Exit(args).rc())
-            }
-            Tok::Kw("hide") => {
+    fn par_op(&mut self) -> Result<Option<SyncKind>, ParseError> {
+        let kind = match self.peek() {
+            Tok::Interleave => SyncKind::Interleave,
+            Tok::FullSync => SyncKind::Full,
+            Tok::LBrackBar => {
                 self.bump();
                 let mut gates = vec![self.ident()?];
                 while self.eat(&Tok::Comma) {
                     gates.push(self.ident()?);
                 }
-                self.expect(&Tok::Kw("in"))?;
-                let body = self.behaviour()?;
-                Ok(Term::Hide(gates.into(), body).rc())
+                self.expect(&Tok::RBrackBar)?;
+                return Ok(Some(SyncKind::gates(gates.iter().map(|g| &**g))));
             }
-            Tok::Kw("rename") => {
+            _ => return Ok(None),
+        };
+        self.bump();
+        Ok(Some(kind))
+    }
+
+    fn choice(&mut self) -> Result<Arc<Term>, ParseError> {
+        let op = |p: &mut Self| Ok(p.eat(&Tok::ChoiceOp).then_some(()));
+        self.chain(Self::prefix, op, Self::prefix, |(), l, r| Term::Choice(l, r).rc())
+    }
+
+    fn prefix(&mut self) -> Result<Arc<Term>, ParseError> {
+        // Each form is parsed by its own function, so the recursion through
+        // `prefix` carries one small frame per nesting level rather than the
+        // locals of every form (unoptimized builds do not overlap them).
+        match self.peek() {
+            Tok::Kw("stop") => {
                 self.bump();
-                let mut map = Vec::new();
-                loop {
-                    let from = self.ident()?;
-                    self.expect(&Tok::Arrow)?;
-                    let to = self.ident()?;
-                    map.push((from, to));
-                    if !self.eat(&Tok::Comma) {
-                        break;
-                    }
-                }
-                self.expect(&Tok::Kw("in"))?;
-                let body = self.behaviour()?;
-                Ok(Term::Rename(map.into(), body).rc())
+                Ok(Term::Stop.rc())
             }
-            Tok::Kw("choice") => {
-                // Value choice: `choice x:T [] B` desugars into the finite
-                // `[]`-sum of B[x:=v] over all values v of T.
-                self.bump();
-                let x = self.ident()?;
-                self.expect(&Tok::Colon)?;
-                let ty = self.ty()?;
-                self.expect(&Tok::ChoiceOp)?;
-                let body = self.behaviour()?;
-                let values = ty.values();
-                if values.is_empty() {
-                    return Ok(Term::Stop.rc());
-                }
-                let mut alts = values.into_iter().map(|v| {
-                    let mut env = std::collections::HashMap::new();
-                    env.insert(x.clone(), v);
-                    body.subst_vars(&env)
-                });
-                let first = alts.next().expect("nonempty");
-                Ok(alts.fold(first, |acc, alt| Term::Choice(acc, alt).rc()))
-            }
-            Tok::Kw("let") => {
-                self.bump();
-                let mut binds = Vec::new();
-                loop {
-                    let name = self.ident()?;
-                    self.expect(&Tok::Colon)?;
-                    let ty = self.ty()?;
-                    self.expect(&Tok::EqEq)?;
-                    let e = self.expr()?;
-                    binds.push((name, ty, e));
-                    if !self.eat(&Tok::Comma) {
-                        break;
-                    }
-                }
-                self.expect(&Tok::Kw("in"))?;
-                let body = self.behaviour()?;
-                Ok(Term::Let(binds, body).rc())
-            }
-            Tok::LBrack => {
-                // Guard: [expr] -> prefix
-                self.bump();
-                let e = self.expr()?;
-                self.expect(&Tok::RBrack)?;
-                self.expect(&Tok::Arrow)?;
-                let body = self.prefix()?;
-                Ok(Term::Guard(e, body).rc())
-            }
+            Tok::Kw("exit") => self.exit(),
+            Tok::Kw("hide") => self.hide(),
+            Tok::Kw("rename") => self.rename(),
+            Tok::Kw("choice") => self.value_choice(),
+            Tok::Kw("let") => self.let_in(),
+            Tok::LBrack => self.guard(),
             Tok::LParen => {
                 self.bump();
-                let b = self.behaviour()?;
+                let b = self.nest(Self::behaviour)?;
                 self.expect(&Tok::RParen)?;
                 Ok(b)
             }
-            Tok::Ident(name) => {
-                self.bump();
-                // Offers → action prefix; otherwise a process call.
-                let mut offers = Vec::new();
-                loop {
-                    match self.peek() {
-                        Tok::Bang => {
-                            self.bump();
-                            offers.push(Offer::Send(self.atom()?));
-                        }
-                        Tok::Quest => {
-                            self.bump();
-                            let x = self.ident()?;
-                            self.expect(&Tok::Colon)?;
-                            let ty = self.ty()?;
-                            offers.push(Offer::Recv(x, ty));
-                        }
-                        _ => break,
-                    }
-                }
-                if !offers.is_empty() || matches!(self.peek(), Tok::Semi) {
-                    self.expect(&Tok::Semi)?;
-                    let cont = self.prefix()?;
-                    return Ok(Term::Prefix(Action { gate: sym(&name), offers }, cont).rc());
-                }
-                // Process call.
-                let mut gates = Vec::new();
-                if self.eat(&Tok::LBrack) {
-                    gates.push(self.ident()?);
-                    while self.eat(&Tok::Comma) {
-                        gates.push(self.ident()?);
-                    }
-                    self.expect(&Tok::RBrack)?;
-                }
-                let mut args = Vec::new();
-                if self.eat(&Tok::LParen) {
-                    args.push(self.expr()?);
-                    while self.eat(&Tok::Comma) {
-                        args.push(self.expr()?);
-                    }
-                    self.expect(&Tok::RParen)?;
-                }
-                Ok(Term::Call(sym(&name), gates, args).rc())
-            }
+            Tok::Ident(_) => self.action_or_call(),
             other => Err(self.err(format!("expected a behaviour, found {other}"))),
         }
+    }
+
+    /// `exit` with optional result values.
+    fn exit(&mut self) -> Result<Arc<Term>, ParseError> {
+        self.bump();
+        let mut args = Vec::new();
+        if self.eat(&Tok::LParen) {
+            args.push(self.expr()?);
+            while self.eat(&Tok::Comma) {
+                args.push(self.expr()?);
+            }
+            self.expect(&Tok::RParen)?;
+        }
+        Ok(Term::Exit(args).rc())
+    }
+
+    /// `hide G, ... in B`.
+    fn hide(&mut self) -> Result<Arc<Term>, ParseError> {
+        self.bump();
+        let mut gates = vec![self.ident()?];
+        while self.eat(&Tok::Comma) {
+            gates.push(self.ident()?);
+        }
+        self.expect(&Tok::Kw("in"))?;
+        let body = self.nest(Self::behaviour)?;
+        Ok(Term::Hide(gates.into(), body).rc())
+    }
+
+    /// `rename G -> H, ... in B`.
+    fn rename(&mut self) -> Result<Arc<Term>, ParseError> {
+        self.bump();
+        let mut map = Vec::new();
+        loop {
+            let from = self.ident()?;
+            self.expect(&Tok::Arrow)?;
+            let to = self.ident()?;
+            map.push((from, to));
+            if !self.eat(&Tok::Comma) {
+                break;
+            }
+        }
+        self.expect(&Tok::Kw("in"))?;
+        let body = self.nest(Self::behaviour)?;
+        Ok(Term::Rename(map.into(), body).rc())
+    }
+
+    /// Value choice: `choice x:T [] B` desugars into the finite `[]`-sum
+    /// of B[x:=v] over all values v of T.
+    fn value_choice(&mut self) -> Result<Arc<Term>, ParseError> {
+        self.bump();
+        let x = self.ident()?;
+        self.expect(&Tok::Colon)?;
+        let ty = self.ty()?;
+        self.expect(&Tok::ChoiceOp)?;
+        let outer = self.peak;
+        self.peak = self.depth;
+        let body = self.nest(Self::behaviour)?;
+        // The sum is a left-folded `[]` chain of one copy of the body per
+        // value: the first two copies sit one level lower per value past
+        // the second.
+        let reach = self.peak.saturating_add(ty.cardinality().saturating_sub(2));
+        if reach > MAX_DEPTH {
+            return Err(self.err(format!(
+                "value choice over {} values nests deeper than {MAX_DEPTH} levels",
+                ty.cardinality()
+            )));
+        }
+        self.peak = outer.max(reach);
+        let values = ty.values();
+        if values.is_empty() {
+            return Ok(Term::Stop.rc());
+        }
+        let mut alts = values.into_iter().map(|v| {
+            let mut env = std::collections::HashMap::new();
+            env.insert(x.clone(), v);
+            body.subst_vars(&env)
+        });
+        let first = alts.next().expect("nonempty");
+        Ok(alts.fold(first, |acc, alt| Term::Choice(acc, alt).rc()))
+    }
+
+    /// `let x: T = e, ... in B`.
+    fn let_in(&mut self) -> Result<Arc<Term>, ParseError> {
+        self.bump();
+        let mut binds = Vec::new();
+        loop {
+            let name = self.ident()?;
+            self.expect(&Tok::Colon)?;
+            let ty = self.ty()?;
+            self.expect(&Tok::EqEq)?;
+            let e = self.expr()?;
+            binds.push((name, ty, e));
+            if !self.eat(&Tok::Comma) {
+                break;
+            }
+        }
+        self.expect(&Tok::Kw("in"))?;
+        let body = self.nest(Self::behaviour)?;
+        Ok(Term::Let(binds, body).rc())
+    }
+
+    /// Guard: `[expr] -> prefix`.
+    fn guard(&mut self) -> Result<Arc<Term>, ParseError> {
+        self.bump();
+        let e = self.expr()?;
+        self.expect(&Tok::RBrack)?;
+        self.expect(&Tok::Arrow)?;
+        let body = self.nest(Self::prefix)?;
+        Ok(Term::Guard(e, body).rc())
+    }
+
+    /// An action prefix `g offers; B` or a process call `P[gates](args)`.
+    fn action_or_call(&mut self) -> Result<Arc<Term>, ParseError> {
+        let Tok::Ident(name) = self.bump() else { unreachable!("called on an identifier") };
+        // Offers → action prefix; otherwise a process call.
+        let mut offers = Vec::new();
+        loop {
+            match self.peek() {
+                Tok::Bang => {
+                    self.bump();
+                    offers.push(Offer::Send(self.atom()?));
+                }
+                Tok::Quest => {
+                    self.bump();
+                    let x = self.ident()?;
+                    self.expect(&Tok::Colon)?;
+                    let ty = self.ty()?;
+                    offers.push(Offer::Recv(x, ty));
+                }
+                _ => break,
+            }
+        }
+        if !offers.is_empty() || matches!(self.peek(), Tok::Semi) {
+            self.expect(&Tok::Semi)?;
+            let cont = self.nest(Self::prefix)?;
+            return Ok(Term::Prefix(Action { gate: sym(&name), offers }, cont).rc());
+        }
+        // Process call.
+        let mut gates = Vec::new();
+        if self.eat(&Tok::LBrack) {
+            gates.push(self.ident()?);
+            while self.eat(&Tok::Comma) {
+                gates.push(self.ident()?);
+            }
+            self.expect(&Tok::RBrack)?;
+        }
+        let mut args = Vec::new();
+        if self.eat(&Tok::LParen) {
+            args.push(self.expr()?);
+            while self.eat(&Tok::Comma) {
+                args.push(self.expr()?);
+            }
+            self.expect(&Tok::RParen)?;
+        }
+        Ok(Term::Call(sym(&name), gates, args).rc())
     }
 
     // ---- expressions ------------------------------------------------------
@@ -497,26 +591,18 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut acc = self.and_expr()?;
-        while self.eat(&Tok::Kw("or")) {
-            let rhs = self.and_expr()?;
-            acc = Expr::bin(BinOp::Or, acc, rhs);
-        }
-        Ok(acc)
+        let op = |p: &mut Self| Ok(p.eat(&Tok::Kw("or")).then_some(BinOp::Or));
+        self.chain(Self::and_expr, op, Self::and_expr, Expr::bin)
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut acc = self.not_expr()?;
-        while self.eat(&Tok::Kw("and")) {
-            let rhs = self.not_expr()?;
-            acc = Expr::bin(BinOp::And, acc, rhs);
-        }
-        Ok(acc)
+        let op = |p: &mut Self| Ok(p.eat(&Tok::Kw("and")).then_some(BinOp::And));
+        self.chain(Self::not_expr, op, Self::not_expr, Expr::bin)
     }
 
     fn not_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&Tok::Kw("not")) {
-            let e = self.not_expr()?;
+            let e = self.nest(Self::not_expr)?;
             return Ok(Expr::Un(UnOp::Not, Box::new(e)));
         }
         self.cmp_expr()
@@ -539,39 +625,35 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut acc = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
+        let op = |p: &mut Self| {
+            let op = match p.peek() {
                 Tok::Plus => BinOp::Add,
                 Tok::Minus => BinOp::Sub,
-                _ => break,
+                _ => return Ok(None),
             };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            acc = Expr::bin(op, acc, rhs);
-        }
-        Ok(acc)
+            p.bump();
+            Ok(Some(op))
+        };
+        self.chain(Self::mul_expr, op, Self::mul_expr, Expr::bin)
     }
 
     fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut acc = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
+        let op = |p: &mut Self| {
+            let op = match p.peek() {
                 Tok::Star => BinOp::Mul,
                 Tok::Kw("div") => BinOp::Div,
                 Tok::Kw("mod") => BinOp::Mod,
-                _ => break,
+                _ => return Ok(None),
             };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            acc = Expr::bin(op, acc, rhs);
-        }
-        Ok(acc)
+            p.bump();
+            Ok(Some(op))
+        };
+        self.chain(Self::unary_expr, op, Self::unary_expr, Expr::bin)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&Tok::Minus) {
-            let e = self.unary_expr()?;
+            let e = self.nest(Self::unary_expr)?;
             return Ok(Expr::Un(UnOp::Neg, Box::new(e)));
         }
         self.atom()
@@ -586,28 +668,20 @@ impl Parser {
             Tok::Kw("false") => Ok(Expr::bool(false)),
             Tok::Ident(name) => Ok(Expr::Var(sym(&name))),
             Tok::LParen => {
-                let e = self.expr()?;
+                let e = self.nest(Self::expr)?;
                 self.expect(&Tok::RParen)?;
                 Ok(e)
             }
             Tok::Kw("if") => {
-                let c = self.expr()?;
+                let c = self.nest(Self::expr)?;
                 self.expect(&Tok::Kw("then"))?;
-                let a = self.expr()?;
+                let a = self.nest(Self::expr)?;
                 self.expect(&Tok::Kw("else"))?;
-                let b = self.expr()?;
+                let b = self.nest(Self::expr)?;
                 Ok(Expr::Ite(Box::new(c), Box::new(a), Box::new(b)))
             }
             other => Err(self.err(format!("expected an expression, found {other}"))),
         }
-    }
-}
-
-// `peek2` is kept for grammar extensions (look-ahead on offers).
-impl Parser {
-    #[allow(dead_code)]
-    fn lookahead_is_offer(&self) -> bool {
-        matches!(self.peek2(), Tok::Bang | Tok::Quest)
     }
 }
 
@@ -785,5 +859,68 @@ mod tests {
         let spec = parse_spec("behaviour [1 + 2 * 3 == 7] -> ok; stop").expect("parses");
         let e = explore(&spec, &ExploreOptions::default()).expect("explores");
         assert_eq!(e.lts.num_transitions(), 1);
+    }
+
+    /// Specs nesting exactly `k` levels, one per construct that nests.
+    fn nested_specs(k: usize) -> Vec<(&'static str, String)> {
+        let chain = |first: &str, op: &str, rest: &str| {
+            format!("behaviour {first}{}", format!(" {op} {rest}").repeat(k - 1))
+        };
+        // A chain inside the first operand of a chain, `n` times over.
+        let n = (k - 1) / 2;
+        let nested = format!(
+            "behaviour {}{}a; stop{}",
+            if k.is_multiple_of(2) { "a; " } else { "" },
+            "(".repeat(n),
+            " [] a; stop)".repeat(n)
+        );
+        vec![
+            ("prefix", format!("process P[a] := {}stop endproc behaviour P[a]", "a; ".repeat(k))),
+            ("parens", format!("behaviour {}a; stop{}", "(".repeat(k - 1), ")".repeat(k - 1))),
+            ("hide", format!("behaviour {}a; stop", "hide a in ".repeat(k - 1))),
+            ("choice", chain("a; stop", "[]", "a; stop")),
+            ("parallel", chain("a; stop", "|||", "stop")),
+            ("disable", chain("a; stop", "[>", "stop")),
+            ("enable", chain("a; exit", ">>", "a; exit")),
+            ("nested choice", nested),
+            ("not", format!("behaviour [{}true] -> a; stop", "not ".repeat(k))),
+            ("sum", format!("behaviour a !({}0); stop", "1 + ".repeat(k - 1))),
+            (
+                "value choice",
+                format!(
+                    "behaviour choice x:int 1..{} [] a !x; {}stop",
+                    k - k / 2,
+                    "a; ".repeat(k / 2)
+                ),
+            ),
+        ]
+    }
+
+    #[test]
+    fn nesting_is_capped_and_specs_at_the_cap_stay_within_a_small_stack() {
+        for (shape, over) in nested_specs(MAX_DEPTH + 1) {
+            let err = parse_spec(&over).expect_err(shape);
+            assert!(err.message.contains("deeper than"), "{shape}: {err}");
+        }
+        // Everything a spec at the cap goes through recurses over its
+        // nesting; all of it must fit the 2 MiB default of spawned threads.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for (shape, src) in nested_specs(MAX_DEPTH) {
+                    let spec = parse_spec(&src).unwrap_or_else(|e| panic!("{shape}: {e}"));
+                    let run = explore(&spec, &ExploreOptions::default())
+                        .unwrap_or_else(|e| panic!("{shape}: {e}"));
+                    assert!(run.lts.num_transitions() > 0, "{shape}");
+                    let _ = crate::lint::lint(&spec);
+                    let text = spec.process("P").map_or(spec.top(), |p| &p.body).to_string();
+                    assert!(!text.is_empty(), "{shape}");
+                    drop(run);
+                    drop(spec);
+                }
+            })
+            .expect("spawns")
+            .join()
+            .expect("a spec at the nesting cap fits a 2 MiB stack");
     }
 }

@@ -73,7 +73,9 @@ impl Type {
     pub fn cardinality(&self) -> usize {
         match self {
             Type::Bool => 2,
-            Type::Int(lo, hi) => (hi - lo + 1).max(0) as usize,
+            Type::Int(lo, hi) => {
+                (i128::from(*hi) - i128::from(*lo) + 1).clamp(0, usize::MAX as i128) as usize
+            }
             Type::Enum(def) => def.variants.len(),
         }
     }

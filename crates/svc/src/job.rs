@@ -31,6 +31,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+/// Stack of each job worker. Evaluation recurses over the request's model
+/// and formula; the parsers cap their nesting at what fits a 2 MiB stack
+/// (`multival_pa::parser::MAX_DEPTH`), and workers get the 8 MiB a CLI
+/// main thread has, so both surfaces run a job with the same headroom.
+const WORKER_STACK_BYTES: usize = 8 << 20;
+
 /// Lifecycle of one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
@@ -207,6 +213,7 @@ impl JobEngine {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("svc-worker-{i}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || worker_loop(&inner))
                     .expect("spawn svc worker")
             })

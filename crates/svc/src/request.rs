@@ -20,7 +20,6 @@ use multival::imc::NondetPolicy;
 use multival_ctmc::McOptions;
 use multival_lts::minimize::Equivalence;
 use multival_lts::pipeline::{run_pipeline, Order, PipelineOptions};
-use multival_lts::store::{StoreConfig, StoreKind};
 use multival_lts::Lts;
 use multival_models::common::explore_model;
 use multival_models::fame2::coherence::Protocol;
@@ -234,10 +233,9 @@ pub struct JobRequest {
     pub eq: Equivalence,
     /// Composition-order policy (reduce; the result never depends on it).
     pub order: Order,
-    /// State-store backend for product exploration (reduce; the result
-    /// never depends on it).
-    pub store: StoreKind,
-    /// Resident-memory budget in bytes for the spill backend (reduce).
+    /// Resident-memory budget in bytes for the stage products' state
+    /// stores, which spill to disk past it (reduce; the reduced LTS never
+    /// depends on it).
     pub mem_budget: Option<usize>,
     /// Sweep-point parameters (sweep only).
     pub sweep: Option<SweepParams>,
@@ -418,16 +416,11 @@ impl JobRequest {
                 }
             },
         };
-        let store = match opt_str(v, "store")?.as_deref() {
-            None | Some("hash") => StoreKind::Hash,
-            Some("arena") => StoreKind::Arena,
-            Some("spill") => StoreKind::Spill,
-            Some(other) => {
-                return Err(format!(
-                    "unknown store backend `{other}` (expected hash, arena, or spill)"
-                ))
-            }
-        };
+        if v.get("store").is_some() {
+            return Err("`store` is no longer a job parameter: there is one state store, \
+                        and `mem_budget` alone makes it spill to disk"
+                .to_owned());
+        }
         let mem_budget = opt_uint(v, "mem_budget")?.map(|b| b as usize);
         let sweep = if kind == Kind::Sweep {
             if !matches!(&model, ModelSource::Builtin(n) if n == "xstream_pipeline") {
@@ -490,7 +483,6 @@ impl JobRequest {
             seed,
             eq,
             order,
-            store,
             mem_budget,
             sweep,
             budget,
@@ -533,7 +525,6 @@ impl JobRequest {
                 }),
             ),
             ("order".into(), Json::str(self.order.to_string())),
-            ("store".into(), Json::str(self.store.to_string())),
             ("mem_budget".into(), self.mem_budget.map_or(Json::Null, |b| Json::num(b as f64))),
             (
                 "sweep".into(),
@@ -740,7 +731,8 @@ impl JobRequest {
     ///
     /// A tripped budget is an error (never cached); everything else is
     /// deterministic — the canonical reduced LTS and the stage accounting
-    /// are byte-identical across order seeds and store backends.
+    /// are byte-identical across order seeds and memory budgets. A
+    /// budgeted job also reports its spilling store's counters.
     fn evaluate_reduce(&self) -> Result<Json, String> {
         let ModelSource::Source(text) = &self.model else {
             unreachable!("validated at parse: reduce needs a source model")
@@ -754,7 +746,7 @@ impl JobRequest {
             max_states: self.budget.max_states,
             deadline: self.budget.deadline(),
             checkpoint_dir: None,
-            store: StoreConfig { kind: self.store, mem_budget: self.mem_budget },
+            mem_budget: self.mem_budget,
         };
         let run = run_pipeline(&network, &options);
         if let Some(reason) = &run.abort {
@@ -779,13 +771,26 @@ impl JobRequest {
                 ])
             })
             .collect();
-        Ok(Json::Obj(vec![
+        let mut members = vec![
             ("states".into(), Json::num(run.lts.num_states() as f64)),
             ("transitions".into(), Json::num(run.lts.num_transitions() as f64)),
             ("peak_states".into(), Json::num(run.peak_states() as f64)),
             ("order".into(), Json::Arr(order)),
             ("stages".into(), Json::Arr(stages)),
-        ]))
+        ];
+        if self.mem_budget.is_some() {
+            let count = |n: usize| Json::num(n as f64);
+            members.push((
+                "store".into(),
+                Json::Obj(vec![
+                    ("states".into(), count(run.store.states)),
+                    ("key_bytes".into(), count(run.store.key_bytes)),
+                    ("spilled_bytes".into(), count(run.store.spilled_bytes)),
+                    ("spilled_segments".into(), count(run.store.spilled_segments)),
+                ]),
+            ));
+        }
+        Ok(Json::Obj(members))
     }
 
     fn evaluate_perf(&self, lts: Lts, workers: Workers) -> Result<Json, String> {
@@ -1105,21 +1110,37 @@ mod tests {
     #[test]
     fn reduce_accepts_store_backend_params() {
         let spill = format!(
-            r#"{{"kind":"reduce","model":{{"source":{src}}},"store":"spill","mem_budget":65536}}"#,
+            r#"{{"kind":"reduce","model":{{"source":{src}}},"mem_budget":1}}"#,
             src = Json::str(NET)
         );
-        let s = req(&spill).evaluate(Workers::sequential()).expect("evaluates").to_string();
+        let s = req(&spill).evaluate(Workers::sequential()).expect("evaluates");
         let default =
             format!(r#"{{"kind":"reduce","model":{{"source":{src}}}}}"#, src = Json::str(NET));
-        let d = req(&default).evaluate(Workers::sequential()).expect("evaluates").to_string();
-        assert_eq!(s, d, "the reduced LTS must not depend on the store backend");
-        // Distinct cache entries nonetheless: the backend is part of the key.
+        let d = req(&default).evaluate(Workers::sequential()).expect("evaluates");
+        assert!(d.get("store").is_none(), "an unbudgeted job reports no store");
+        let store = s.get("store").expect("a budgeted job reports its store");
+        assert!(store.get("spilled_segments").and_then(Json::as_num).is_some(), "{store}");
+        let Json::Obj(mut members) = s else { panic!("object result") };
+        members.retain(|(k, _)| k != "store");
+        assert_eq!(
+            Json::Obj(members).to_string(),
+            d.to_string(),
+            "the reduced LTS must not depend on the memory budget"
+        );
+        // Distinct cache entries nonetheless: the budget is part of the key.
         assert_ne!(req(&spill).canonical(), req(&default).canonical());
         let bad = format!(
-            r#"{{"kind":"reduce","model":{{"source":{src}}},"store":"disk"}}"#,
+            r#"{{"kind":"reduce","model":{{"source":{src}}},"mem_budget":"64k"}}"#,
             src = Json::str(NET)
         );
         assert!(JobRequest::from_json_text(&bad).is_err());
+        // The retired backend choice is refused, not silently ignored.
+        let old = format!(
+            r#"{{"kind":"reduce","model":{{"source":{src}}},"store":"spill"}}"#,
+            src = Json::str(NET)
+        );
+        let err = JobRequest::from_json_text(&old).expect_err("`store` is refused");
+        assert!(err.contains("mem_budget"), "{err}");
     }
 
     #[test]

@@ -196,6 +196,78 @@ fn hostile_blts_header_exits_cleanly() {
     assert!(stderr.contains("Budget exceeded"), "{stderr}");
 }
 
+/// A timeout too long for the clock to represent means no deadline: the
+/// run completes, it does not panic on the overflowing instant.
+#[test]
+fn unrepresentable_timeout_runs_without_a_deadline() {
+    let model = write_model("forever.lot", "behaviour hide m in (a; m; stop |[m]| m; b; stop)");
+    let forever = u64::MAX.to_string();
+    let (stdout, stderr, code) = multival_code(&["explore", &model, "--timeout-secs", &forever]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("states: 4"), "{stdout}");
+    let deadlock_free = "nu X. <true> true and [true] X";
+    let (stdout, stderr, code) =
+        multival_code(&["check", &model, deadlock_free, "--timeout-secs", &forever]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stdout.starts_with("FALSE"), "{stdout}");
+}
+
+/// One nesting level over the parsers' caps is a parse error (exit 1) on
+/// every verb that parses, never a stack-overflow abort (exit 134).
+#[test]
+fn inputs_nested_past_the_cap_are_parse_errors() {
+    let over = multival_pa::parser::MAX_DEPTH + 1;
+    let prefixes = write_model(
+        "deep_prefixes.lot",
+        &format!("process P[a] := {}stop endproc behaviour P[a]", "a; ".repeat(over)),
+    );
+    let parens = write_model(
+        "deep_parens.lot",
+        &format!("behaviour {}a; stop{}", "(".repeat(over), ")".repeat(over)),
+    );
+    for model in [&prefixes, &parens] {
+        for verb in ["explore", "lint"] {
+            let (_, stderr, code) = multival_code(&[verb, model]);
+            assert_eq!(code, Some(1), "{verb} {model}: {stderr}");
+            assert!(stderr.contains("nesting deeper than"), "{verb} {model}: {stderr}");
+        }
+    }
+    let model = write_model("shallow.lot", "behaviour a; stop");
+    let formula = format!("{}true", "not ".repeat(multival::mcl::parser::MAX_DEPTH + 1));
+    let (_, stderr, code) = multival_code(&["check", &model, &formula]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+}
+
+/// A memory budget alone sends `explore` and `reduce` through the
+/// spilling store; the LTS written is byte-identical to the unbudgeted
+/// run's.
+#[test]
+fn mem_budget_alone_selects_the_spill_store() {
+    // Two interleaved 64-value counters: a 4,096-state product whose packed
+    // keys fill several 4 KiB spill segments.
+    let model = write_model(
+        "rings.lot",
+        "process A[a](n: int 0..63) := a !n; A[a]((n + 1) mod 64) endproc
+         process B[b](n: int 0..63) := b !n; B[b]((n + 1) mod 64) endproc
+         behaviour A[a](0) ||| B[b](0)",
+    );
+    for verb in ["explore", "reduce"] {
+        let plain = write_model(&format!("rings_{verb}.aut"), "");
+        let spilled = write_model(&format!("rings_{verb}_spilled.aut"), "");
+        let (stdout, stderr, code) = multival_code(&[verb, &model, "--aut", &plain]);
+        assert_eq!(code, Some(0), "{stdout}{stderr}");
+        assert!(!stdout.contains("store"), "{verb}: no budget, no store report: {stdout}");
+        let (stdout, stderr, code) =
+            multival_code(&[verb, &model, "--mem-budget", "1", "--aut", &spilled]);
+        assert_eq!(code, Some(0), "{stdout}{stderr}");
+        assert!(stdout.contains("store spill:"), "{verb}: {stdout}");
+        assert!(stdout.contains(" segments"), "{verb}: nothing spilled: {stdout}");
+        let read = |p: &str| std::fs::read_to_string(p).expect("written");
+        assert_eq!(read(&plain), read(&spilled), "{verb}: the budget changed the LTS");
+    }
+}
+
 #[test]
 fn simulate_exits_2_when_stopping_rule_unmet() {
     let model = write_model(

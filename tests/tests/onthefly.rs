@@ -1,13 +1,13 @@
 //! Cross-crate tests of the on-the-fly layer: the lazy product must be
-//! byte-identical to eager composition with any state store, and the
-//! short-circuiting searches must reach the same verdicts as the eager
-//! flow while materializing strictly less.
+//! byte-identical to eager composition in the arena and the spill store
+//! alike, and the short-circuiting searches must reach the same verdicts
+//! as the eager flow while materializing strictly less.
 
 use multival::lts::io::write_aut;
 use multival::lts::ops::{compose, compose_all, Sync};
 use multival::lts::reach::{deadlock_search, materialize, materialize_store, ReachOptions};
 use multival::lts::ts::LazyProduct;
-use multival::lts::{make_store, Lts, LtsBuilder, StoreConfig, StoreKind};
+use multival::lts::{make_store, Lts, LtsBuilder};
 use multival::mcl::{check_on_the_fly, patterns};
 use multival::models::rings::{full_product_states, ring_parts, ring_sync};
 use multival::models::xstream::queue;
@@ -54,9 +54,12 @@ proptest! {
         let refs: Vec<&Lts> = parts.iter().collect();
         let eager = compose_all(&refs, &sync);
         let lazy = LazyProduct::new(&refs, &sync);
-        let mut store = make_store(&StoreConfig::of(StoreKind::Arena));
-        let packed = materialize_store(&lazy, store.as_mut());
-        prop_assert_eq!(write_aut(&packed), write_aut(&eager), "arena-store materialization");
+        let reference = materialize(&lazy);
+        prop_assert_eq!(write_aut(&eager), write_aut(&reference), "arena-store composition");
+        // A 1-byte budget pages every sealed key segment out.
+        let mut store = make_store(Some(1));
+        let spilled = materialize_store(&lazy, store.as_mut());
+        prop_assert_eq!(write_aut(&spilled), write_aut(&reference), "spill-store materialization");
     }
 
     #[test]

@@ -295,6 +295,66 @@ fn hostile_aut_header_fails_the_job_and_the_server_stays_up() {
     let _ = handle.shutdown_and_drain();
 }
 
+/// A source nesting 5,000 prefixes, one nesting 150 long `[]` chains each
+/// in the first operand of the next, and a formula nesting 30,000 `not`s
+/// fail their jobs as parse errors; the worker survives them and the
+/// server keeps answering.
+#[test]
+fn deep_sources_and_formulas_fail_the_job_and_the_server_stays_up() {
+    let handle = serve(&config()).expect("server starts");
+    let addr = handle.addr();
+    let explore = |source: String| {
+        format!(r#"{{"kind":"explore","model":{{"source":{}}}}}"#, Json::str(source))
+    };
+    let prefixes = format!("process P[a] := {}stop endproc behaviour P[a]", "a; ".repeat(5_000));
+    let chains = format!(
+        "behaviour {}a; stop{}",
+        "(".repeat(150),
+        format!("{})", " [] a; stop".repeat(150)).repeat(150)
+    );
+    let deep_formula = format!("{}true", "not ".repeat(30_000));
+    let check = format!(
+        r#"{{"kind":"check","model":{{"builtin":"faust_single_packet"}},"formula":{}}}"#,
+        Json::str(deep_formula)
+    );
+    for request in [explore(prefixes), explore(chains), check] {
+        let body = run_job(addr, &request);
+        assert!(body.contains("\"status\":\"failed\""), "{body}");
+        assert!(body.contains("nesting deeper than"), "{body}");
+        let (status, health) = http(addr, "GET", "/v1/healthz", "");
+        assert_eq!(status, 200, "{health}");
+    }
+    let _ = handle.shutdown_and_drain();
+}
+
+/// A reduce job carrying only `mem_budget` runs its stage products in the
+/// spilling store, reports the store, and reduces to the same LTS.
+#[test]
+fn reduce_job_with_a_memory_budget_spills() {
+    let handle = serve(&config()).expect("server starts");
+    let addr = handle.addr();
+    // Two interleaved 64-value counters: a 4,096-state stage product whose
+    // packed keys fill several 4 KiB spill segments.
+    let rings = "process A[a](n: int 0..63) := a !n; A[a]((n + 1) mod 64) endproc
+         process B[b](n: int 0..63) := b !n; B[b]((n + 1) mod 64) endproc
+         behaviour A[a](0) ||| B[b](0)";
+    let request = |extra: &str| {
+        format!(r#"{{"kind":"reduce","model":{{"source":{}}}{extra}}}"#, Json::str(rings))
+    };
+    let result =
+        |body: String| parse(&body).expect("job JSON").get("result").cloned().expect("done");
+    let plain = result(run_job(addr, &request("")));
+    let spilled = result(run_job(addr, &request(r#","mem_budget":1"#)));
+    let store = spilled.get("store").expect("a budgeted job reports its store");
+    let segments = store.get("spilled_segments").and_then(Json::as_num).expect("segments");
+    assert!(segments >= 1.0, "{spilled}");
+    assert!(plain.get("store").is_none(), "{plain}");
+    for field in ["states", "transitions", "peak_states", "order", "stages"] {
+        assert_eq!(plain.get(field), spilled.get(field), "{field}");
+    }
+    let _ = handle.shutdown_and_drain();
+}
+
 #[test]
 fn shutdown_drains_accepted_jobs() {
     let handle = serve(&ServerConfig { workers: 1, ..config() }).expect("server starts");

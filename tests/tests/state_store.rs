@@ -1,15 +1,14 @@
-//! Differential and property coverage for the pluggable state-store
-//! exploration backends and the compact binary BLTS format.
+//! Differential and property coverage for the state-store exploration
+//! paths and the compact binary BLTS format.
 //!
 //! The store-backed explorer promises *byte-identical* canonical LTSs —
 //! same state numbering, same transition order, same abort report —
-//! whatever backend holds the dedup table. These tests pin that promise on
+//! whether the dedup table stays in its arena or spills to disk. These tests pin that promise on
 //! models from the paper's three case studies and on random specs, and pin
 //! the BLTS codec against the Aldebaran text format on random LTSs.
 
 use multival::lts::io::{read_aut, read_blts, write_aut, write_blts};
 use multival::lts::reach::materialize;
-use multival::lts::store::{StoreConfig, StoreKind};
 use multival::lts::{Lts, LtsBuilder};
 use multival::models::fame2::network::ping_pong_source;
 use multival::models::faust::mesh::complement_source_n;
@@ -17,8 +16,8 @@ use multival::models::faust::noc::single_packet_source;
 use multival::models::xmas::{generate, render_lot, GenConfig, RenderOptions};
 use multival::models::xstream::pipeline::library;
 use multival::pa::{
-    explore, explore_partial, explore_term_store, explore_term_store_partial, parse_behaviour,
-    parse_spec, transitions, Exploration, ExploreOptions, PaTs, Spec,
+    explore, explore_partial, explore_term_store_partial, parse_behaviour, parse_spec, transitions,
+    Exploration, ExploreOptions, PaTs, Spec,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -45,33 +44,14 @@ fn case_studies() -> Vec<(&'static str, multival::pa::Spec)> {
     ]
 }
 
-/// Every backend × (tight or absent) memory budget yields the
-/// byte-identical canonical LTS the classic explorer produces.
+/// The arena store, and the spill store at a 1-byte budget (which pages
+/// on every segment), yield the byte-identical canonical LTS the
+/// term-keeping explorer produces.
 #[test]
 fn backends_and_workers_agree_on_case_study_models() {
     for (name, spec) in case_studies() {
-        let baseline =
-            write_aut(&explore(&spec, &ExploreOptions::default()).expect("explores").lts);
-        for kind in StoreKind::ALL {
-            // A 1-byte budget forces the spill backend to page on every
-            // segment; the others ignore it.
-            for mem_budget in [None, Some(1)] {
-                let config = StoreConfig { kind, mem_budget };
-                let lts = explore_term_store(
-                    spec.top().clone(),
-                    &spec,
-                    &ExploreOptions::default(),
-                    &config,
-                )
-                .expect("explores");
-                assert_eq!(
-                    baseline,
-                    write_aut(&lts),
-                    "{name}: {kind:?} × budget {mem_budget:?} \
-                     must match the classic explorer byte for byte"
-                );
-            }
-        }
+        let run = explore_all_backends(name, &spec, &ExploreOptions::default());
+        assert!(run.aborted.is_none(), "{name}");
     }
 }
 
@@ -132,9 +112,8 @@ proptest! {
         // Cap low enough to keep runtime sane; a hit must abort both runs
         // identically, so capped cases still assert something useful.
         let options = ExploreOptions::with_max_states(4_000);
-        let config = StoreConfig { kind: StoreKind::Arena, mem_budget: None };
         let indexed = explore_partial(&spec, &options);
-        let stored = explore_term_store_partial(spec.top().clone(), &spec, &options, &config);
+        let stored = explore_term_store_partial(spec.top().clone(), &spec, &options, None);
         prop_assert_eq!(
             indexed.aborted.as_ref().map(ToString::to_string),
             stored.aborted.as_ref().map(ToString::to_string),
@@ -184,23 +163,23 @@ fn assert_matches_term_semantics(name: &str, spec: &Spec, run: &Exploration) {
     }
 }
 
-/// Explores `src` with every store backend and checks they all agree
-/// with the term-keeping explorer, which is returned.
+/// Explores `src` through the arena store and the spill store at a
+/// 1-byte budget, and checks both agree with the term-keeping explorer,
+/// which is returned.
 fn explore_all_backends(name: &str, spec: &Spec, options: &ExploreOptions) -> Exploration {
     let run = explore_partial(spec, options);
     let aut = write_aut(&run.explored.lts);
-    for kind in StoreKind::ALL {
-        let config = StoreConfig { kind, mem_budget: Some(1) };
-        let stored = explore_term_store_partial(spec.top().clone(), spec, options, &config);
-        assert_eq!(run.aborted, stored.aborted, "{name}: {kind:?} abort report");
-        assert_eq!(aut, write_aut(&stored.lts), "{name}: {kind:?} LTS");
+    for mem_budget in [None, Some(1)] {
+        let stored = explore_term_store_partial(spec.top().clone(), spec, options, mem_budget);
+        assert_eq!(run.aborted, stored.aborted, "{name}: budget {mem_budget:?} abort report");
+        assert_eq!(aut, write_aut(&stored.lts), "{name}: budget {mem_budget:?} LTS");
     }
     run
 }
 
 /// Every committed example (the xMAS fixtures among them) and a seeded
-/// range of generated xMAS fabrics explore to the term semantics' LTS, at
-/// every store backend.
+/// range of generated xMAS fabrics explore to the term semantics' LTS,
+/// through the arena and the spill store alike.
 #[test]
 fn compiled_exploration_matches_the_term_semantics_on_committed_and_generated_models() {
     let examples = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../examples");
@@ -372,8 +351,8 @@ hide d1 in ((Cnt[u1, d1](0) ||| Cnt[u2, d2](1)) |[u2]| Cnt[u2, x](1))
 ];
 
 /// A semantic error and both caps abort with the report, the partial
-/// `.aut` and the state terms the term-rewriting explorer produced, at
-/// every store backend.
+/// `.aut` and the state terms the term-rewriting explorer produced,
+/// through the arena and the spill store alike.
 #[test]
 fn errors_and_caps_keep_the_pinned_partial_work() {
     for case in PINNED {

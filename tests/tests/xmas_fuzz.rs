@@ -12,7 +12,6 @@ use multival::fuzz::{run_fuzz, CheckKind, FuzzOptions};
 use multival::lts::io::write_aut;
 use multival::lts::minimize::Equivalence;
 use multival::lts::pipeline::{canonicalize, run_pipeline, PipelineOptions};
-use multival::lts::store::{StoreConfig, StoreKind};
 use multival::models::xmas::{compile_network, generate, render_lot, GenConfig, RenderOptions};
 use multival::pa::{extract_network, parse_spec, ExploreOptions};
 use proptest::prelude::*;
@@ -120,10 +119,11 @@ fn generation_and_reduction_are_deterministic() {
 
         let net = compile_network(&fab).expect("compiles");
         let mut results = Vec::new();
-        for kind in StoreKind::ALL {
+        // The arena, and the spill store at a 1-byte budget.
+        for mem_budget in [None, Some(1)] {
             let options = PipelineOptions {
                 equivalence: Equivalence::Branching,
-                store: StoreConfig::of(kind),
+                mem_budget,
                 ..PipelineOptions::default()
             };
             let run = run_pipeline(&net, &options);
@@ -132,7 +132,7 @@ fn generation_and_reduction_are_deterministic() {
         }
         assert!(
             results.windows(2).all(|w| w[0] == w[1]),
-            "seed {seed}: canonical LTS must not depend on the store backend"
+            "seed {seed}: canonical LTS must not depend on the memory budget"
         );
     }
 }
